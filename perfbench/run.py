@@ -15,12 +15,14 @@ The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  A full record of the
 run (every repetition and the host block) is written under
 ``.perfbench/runs/``.  The exit code is 0 when every check passed, 1 when a
-check failed and 2 when the benchmark could not run.
+check failed and 2 when the benchmark could not run, including a traced run
+in which a wrapped call site no longer exists.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -43,7 +45,7 @@ DEADLINE_S = 165.0
 #: remote workers), set before numpy is imported anywhere.
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1",
-          "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+          "PYTHONHASHSEED": "0"}
 
 
 class BenchmarkError(RuntimeError):
@@ -188,8 +190,17 @@ def main() -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     print(f"perfbench {args.workload} seed={args.seed} trace={args.trace} "
           f"seconds={args.seconds:g}", flush=True)
+    # Byte-compile up front, so that every repetition imports from a fresh
+    # bytecode cache and no repetition's setup_s pays for compilation.
+    for tree in (ROOT / "src", HERE):
+        compileall.compile_dir(str(tree), quiet=1)
     try:
         reps = run_reps(args, workdir)
+        missing = sorted({t for rep in reps
+                          for t in rep.get("missing_targets", [])})
+        if missing:
+            raise BenchmarkError("traced call sites not found (their layers "
+                                 "would read 0): " + ", ".join(missing))
         errors = check(args, reps)
         result = metrics(args, bench, reps)
     except BenchmarkError as exc:
@@ -214,10 +225,6 @@ def main() -> int:
 
     for error in errors:
         print(f"CHECK FAILED: {error}")
-    missing = sorted({t for rep in reps for t in rep.get("missing_targets", [])})
-    if missing:
-        print("trace: call sites not found (their layers read 0): "
-              + ", ".join(missing))
     for name, metric in result.items():
         print(f"  {name:40s} {metric['value']:>14.6g} {metric['unit']}")
     print("host: " + json.dumps(host, sort_keys=True))

@@ -1,13 +1,13 @@
 """Self-test of the traced run: plant a known delay in one layer and find it.
 
-    python3 perfbench/selftest.py [--seed 0] [--triples 7]
+    python3 perfbench/selftest.py
 
 1. A traced ``protocol`` repetition measures ``nn.optim.step_s`` and the
    number of optimizer steps.
 2. The benchmark's own ``nn.optim.step`` wrapper then adds a busy-wait of
-   ``share`` (default 20%) of that time, spread over the calls.
+   20% of that time, spread over the calls.
 3. Repetitions run in triples (plain, delayed, plain again), so neighbours
-   share the machine's load; medians are taken over ``--triples``.
+   share the machine's load; medians are taken over seven triples.
    Traced: the share of the passes spent in ``nn.optim.step_s`` must rise by
    about the planted share, no other layer's share may rise more, and the
    unmodified reruns must not move it by more than half the planted share.
@@ -20,7 +20,6 @@ collection: it takes a few minutes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -34,6 +33,10 @@ from run import PINNED
 
 HERE = Path(__file__).resolve().parent
 LAYER = "nn.optim.step"
+SEED = 0
+#: The planted delay as a share of the layer's measured time.
+SHARE = 0.2
+TRIPLES = 7
 
 
 def rep(seed: int, mode: str, inject: Optional[str] = None) -> dict:
@@ -61,15 +64,9 @@ def triple(seed: int, mode: str, inject: str,
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--triples", type=int, default=7)
-    parser.add_argument("--share", type=float, default=0.2)
-    args = parser.parse_args()
-
-    first = rep(args.seed, "traced")
+    first = rep(SEED, "traced")
     base, base_passes = first["layers"], first["passes_s"]
-    planted = args.share * base[f"{LAYER}_s"]
+    planted = SHARE * base[f"{LAYER}_s"]
     inject = f"{LAYER}:{planted / base['nn.optim.steps']!r}"
     print(f"{LAYER}_s = {base[f'{LAYER}_s']:.4f} s over "
           f"{base['nn.optim.steps']:.0f} calls; planting {planted:.4f} s")
@@ -79,9 +76,9 @@ def main() -> int:
     # repetitions where seconds do not.
     layers = [name for name in base if name.endswith("_s")
               and name not in ("core.evaluation.job_s", "core.distributed.setup_s")]
-    traced = [triple(args.seed, "traced", inject,
+    traced = [triple(SEED, "traced", inject,
                      lambda r: {n: r["layers"][n] / r["passes_s"] for n in layers})
-              for _ in range(args.triples)]
+              for _ in range(TRIPLES)]
     moved = {name: statistics.median(rise[name] for rise, _ in traced)
              for name in layers}
     drift = statistics.median(d[f"{LAYER}_s"] for _, d in traced)
@@ -91,9 +88,9 @@ def main() -> int:
           f"(planted {expected:+.2%}); the largest rise is {top}; "
           f"unmodified reruns moved it {drift:+.2%}")
 
-    untraced = [triple(args.seed, "untraced", inject,
+    untraced = [triple(SEED, "untraced", inject,
                        lambda r: {"passes_s": r["passes_s"]})
-                for _ in range(args.triples)]
+                for _ in range(TRIPLES)]
     rise = statistics.median(r["passes_s"] for r, _ in untraced)
     print(f"untraced passes (cold_s + warm_s): rose {rise:+.4f} s with the "
           f"delay (planted {planted:.4f} s)")

@@ -12,8 +12,8 @@ recorded, and only inside a timed pass (:meth:`Tracer.root`); other calls
 run unwrapped.
 
 Targets that no longer exist (a later change renamed or removed them) are
-skipped and listed in :attr:`Tracer.missing`, so the benchmark keeps running
-and the report says which layers went dark.
+skipped and listed in :attr:`Tracer.missing`; ``run.py`` then fails the run
+rather than report the layers that went dark as 0.
 """
 
 from __future__ import annotations

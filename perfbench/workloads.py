@@ -296,7 +296,6 @@ class ServeWorkload(Workload):
         m = result.metrics
         self.passes.append({"ticks": m.num_ticks, "decisions": m.num_decisions,
                             "decide_s": m.decide_s,
-                            "batch_mean": m.mean_batch_size,
                             "p50_ms": m.p50_decision_latency_s * 1e3,
                             "p99_ms": m.p99_decision_latency_s * 1e3})
         return result
