@@ -72,6 +72,9 @@ _TOGGLE_EXEMPT: Dict[str, str] = {
     "_ACTIVE": "telemetry sink; observability only, no numeric effect",
     "_PLAN": "fault-injection harness; causes retries/reschedules but "
              "never alters a successfully stored result payload",
+    "_REMOTE_WORKER": "marks a `repro worker` process for the fault "
+                      "harness; decides how an injected crash fires, never "
+                      "a stored result payload",
 }
 
 #: NadaConfig fields that are store-key material (hashed, directly or via

@@ -166,9 +166,11 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
                              "and exits non-zero")
     parser.add_argument("--job-timeout", type=_positive_float, default=None,
                         metavar="SECONDS",
-                        help="kill and retry a job running longer than this "
-                             "inside a pool worker (only enforced with "
-                             "--workers > 1)")
+                        help="charge and retry a job running longer than "
+                             "this: a pool worker is recycled, a remote "
+                             "assignment revoked and its late result "
+                             "fenced (not enforced when jobs run serially "
+                             "in-process)")
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="inject deterministic faults for resilience "
                              "testing: comma-separated "

@@ -29,31 +29,36 @@ submission order, so the scheduler's order-preserving telemetry merge (the
 PR 6 contract: serial and N-worker event streams identical modulo
 timestamps/pids) holds regardless of network arrival order.
 
-Failure semantics — every path is injectable via :mod:`repro.core.faults`
-(``rpc.conn_drop``, ``rpc.worker_crash``, ``rpc.heartbeat_loss``,
-``rpc.result_delay``):
+Retry, backoff, quarantine, assignment epochs and deadlines live in the
+:class:`~repro.core.parallel.Supervisor` every transport shares; this module
+only moves its assignments over sockets.  Failure semantics — every path is
+injectable via :mod:`repro.core.faults` (``rpc.conn_drop``,
+``rpc.worker_crash``, ``rpc.heartbeat_loss``, ``rpc.result_delay``,
+``job.timeout``):
 
 * A worker whose connection drops or whose process dies has its in-flight
   job requeued, charged one attempt under the usual retry/backoff budget.
-* A worker that stops heartbeating past ``heartbeat_timeout_s`` is treated
-  as dead: its assignment is revoked and requeued, but the socket is left
-  open — if the worker was merely wedged, its eventual stale RESULT arrives
-  carrying the *old* assignment epoch and is **fenced** (counted, dropped),
-  never merged.  Exactly-once of the persisted record is enforced a second
-  time at the store: :meth:`ResultStore.put_run` drops a put whose lease
-  was stolen while the job was away (lease epochs, ``fenced_puts``).
+* A worker that stops heartbeating past ``heartbeat_timeout_s``, or a job
+  that outlives ``ParallelConfig.job_timeout``, has its assignment revoked,
+  charged and requeued, but the socket is left open — if the worker was
+  merely wedged, its eventual stale RESULT arrives carrying the *old*
+  assignment epoch and is **fenced** (counted, dropped), never merged.
+  Exactly-once of the persisted record is enforced a second time at the
+  store: :meth:`ResultStore.put_run` drops a put whose lease was stolen
+  while the job was away (lease epochs, ``fenced_puts``).
 * Worker subprocesses that exit are respawned (up to
   ``max_respawns``) while work remains.
 * If the worker pool empties and nobody reconnects within
   ``worker_deadline_s``, the batch degrades per ``fallback``: ``"local"``
-  executes the unfinished items in-process (carrying over their attempt
-  counts), ``"fail"`` raises :class:`NoWorkersError` so the campaign exits
+  switches the same supervisor to a local transport (attempt counts carry
+  over), ``"fail"`` raises :class:`NoWorkersError` so the campaign exits
   with a resume-from-store message instead of hanging.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
 import pickle
@@ -62,13 +67,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, List, Optional, Sequence, Tuple
 
 from ..log import get_logger
 from . import faults, telemetry
-from .parallel import ParallelConfig, TaskOutcome, run_resilient
+from .parallel import ParallelConfig, Supervisor, TaskOutcome, run_local
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -140,13 +145,8 @@ def _decode(text: str) -> Any:
 
 def _send(wfile: IO[str], message: Dict[str, Any],
           lock: Optional[threading.Lock] = None) -> None:
-    line = json.dumps(message) + "\n"
-    if lock is not None:
-        with lock:
-            wfile.write(line)
-            wfile.flush()
-    else:
-        wfile.write(line)
+    with lock or contextlib.nullcontext():
+        wfile.write(json.dumps(message) + "\n")
         wfile.flush()
 
 
@@ -171,47 +171,13 @@ def _item_fault_key(item: Any, index: int) -> str:
 # --------------------------------------------------------------------------- #
 # Coordinator.
 # --------------------------------------------------------------------------- #
+@dataclass
 class _WorkerConn:
     """Coordinator-side state for one connected worker."""
 
-    __slots__ = ("name", "conn", "rfile", "wfile", "last_seen", "alive")
-
-    def __init__(self, name: str, conn: socket.socket,
-                 rfile: IO[str], wfile: IO[str]) -> None:
-        self.name = name
-        self.conn = conn
-        self.rfile = rfile
-        self.wfile = wfile
-        self.last_seen = time.monotonic()
-        self.alive = True
-
-
-class _Batch:
-    """One :meth:`RemoteExecutor.run` call's shared dispatch state."""
-
-    def __init__(self, fn: Callable[..., Any], items: List[Any],
-                 config: ParallelConfig) -> None:
-        self.fn = fn
-        self.items = items
-        self.config = config
-        self.outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
-        self.failures = [0] * len(items)
-        self.ready_at = [0.0] * len(items)
-        self.epochs = [0] * len(items)
-        self.queue: List[int] = list(range(len(items)))
-        #: index -> (worker name, assignment epoch) for in-flight jobs.
-        self.running: Dict[int, Tuple[str, int]] = {}
-        self.dispatched = 0
-        self.fenced = 0
-        self.requeued = 0
-        self.heartbeat_timeouts = 0
-        self.fallback_local = 0
-        #: Indices in RESULT-acceptance order (tests assert arrival shuffles
-        #: do not leak into the submission-order merge).
-        self.result_order: List[int] = []
-
-    def done(self) -> bool:
-        return all(outcome is not None for outcome in self.outcomes)
+    name: str
+    conn: socket.socket
+    last_seen: float = field(default_factory=time.monotonic)
 
 
 class RemoteExecutor:
@@ -230,7 +196,11 @@ class RemoteExecutor:
         self._procs: List[subprocess.Popen] = []
         self._worker_cmd: Optional[List[str]] = None
         self._worker_env: Optional[Dict[str, str]] = None
-        self._batch: Optional[_Batch] = None
+        #: The running batch's supervisor and function, None between runs.
+        self._batch: Optional[Supervisor] = None
+        self._fn: Optional[Callable[..., Any]] = None
+        #: Transport counters of the running batch (see :attr:`last_stats`).
+        self._stats: Dict[str, int] = {}
         self._closed = False
         self._respawns_left = self.config.max_respawns
         self._name_counter = 0
@@ -357,7 +327,7 @@ class RemoteExecutor:
                 self._name_counter += 1
                 if name in self._workers:
                     name = f"{name}#{self._name_counter}"
-                worker = _WorkerConn(name, conn, rfile, wfile)
+                worker = _WorkerConn(name, conn)
                 self._workers[name] = worker
                 self.workers_connected += 1
             telemetry.counter("rpc.worker_connected")
@@ -390,140 +360,112 @@ class RemoteExecutor:
             if self._closed:
                 return {"type": "BYE"}
             batch = self._batch
-            now = time.monotonic()
-            if batch is not None:
-                for slot, index in enumerate(batch.queue):
-                    if batch.ready_at[index] <= now:
-                        batch.queue.pop(slot)
-                        batch.epochs[index] += 1
-                        epoch = batch.epochs[index]
-                        batch.running[index] = (worker.name, epoch)
-                        batch.dispatched += 1
-                        telemetry.counter("rpc.job_dispatched")
-                        return {
-                            "type": "JOB",
-                            "job": index,
-                            "epoch": epoch,
-                            "attempt": batch.failures[index],
-                            "key": _item_fault_key(batch.items[index], index),
-                            "payload": _encode((batch.fn,
-                                                batch.items[index])),
-                        }
+            job = batch.take(worker.name) if batch is not None else None
+            if job is None:
                 retry = self.config.idle_retry_s
-                if batch.queue:
-                    soonest = min(batch.ready_at[i] for i in batch.queue)
-                    retry = min(max(soonest - now, 0.01), retry)
-            else:
-                retry = self.config.idle_retry_s
-        return {"type": "IDLE", "retry_s": retry}
+                if batch is not None and batch.queue:
+                    retry = min(max(batch.wait_s(), 0.01), retry)
+                return {"type": "IDLE", "retry_s": retry}
+            index, epoch, attempt = job
+            self._stats["dispatched"] += 1
+            telemetry.counter("rpc.job_dispatched")
+            return {
+                "type": "JOB",
+                "job": index,
+                "epoch": epoch,
+                "attempt": attempt,
+                "key": _item_fault_key(batch.items[index], index),
+                "payload": _encode((self._fn, batch.items[index])),
+            }
 
     def _take_result(self, worker: _WorkerConn,
                      message: Dict[str, Any]) -> None:
+        index = int(message.get("job", -1))
+        epoch = int(message.get("epoch", -1))
         with self._lock:
             batch = self._batch
-            index = int(message.get("job", -1))
-            epoch = int(message.get("epoch", -1))
-            if (batch is None or not 0 <= index < len(batch.items)
-                    or batch.running.get(index) != (worker.name, epoch)):
+            if batch is None or not batch.holds(index, epoch):
                 if batch is not None:
-                    batch.fenced += 1
+                    self._stats["fenced"] += 1
                 telemetry.counter("rpc.result_fenced")
                 logger.warning(
                     "fenced stale RESULT for job %d epoch %d from %s "
                     "(assignment revoked or re-dispatched)",
                     index, epoch, worker.name)
                 return
-            batch.running.pop(index)
-            if message.get("ok"):
-                try:
-                    value = _decode(message["payload"])
-                except Exception as exc:  # noqa: BLE001 - corrupt payload
-                    self._charge_locked(batch, index,
-                                        f"undecodable RESULT payload: {exc!r}")
-                    return
-                batch.outcomes[index] = TaskOutcome(
-                    value=value, attempts=batch.failures[index] + 1)
-                batch.result_order.append(index)
-                telemetry.counter("rpc.result")
-            else:
-                self._charge_locked(batch, index,
-                                    str(message.get("error")
-                                        or "remote execution failed"))
+            if not message.get("ok"):
+                batch.fail(index, str(message.get("error")
+                                      or "remote execution failed"))
+                return
+            try:
+                batch.settle(index, _decode(message["payload"]))
+            except Exception as exc:  # noqa: BLE001 - corrupt payload
+                batch.fail(index, f"undecodable RESULT payload: {exc!r}")
+                return
+            telemetry.counter("rpc.result")
 
-    def _charge_locked(self, batch: _Batch, index: int, error: str) -> None:
-        """Charge one failure to ``index``; requeue or quarantine.
+    def _revoke(self, index: int, error: str,
+                cause: Optional[str] = None) -> None:
+        """Charge and requeue one in-flight job.  Caller holds the lock.
 
-        Caller holds ``self._lock``.
+        ``cause`` (``"heartbeat_timeout"`` / ``"job_timeout"``) names the
+        ``rpc.*`` counter, and pluralized the :attr:`last_stats` key.
         """
-        batch.failures[index] += 1
-        attempts = batch.failures[index]
-        logger.warning("remote work item %d failed (attempt %d/%d): %s",
-                       index, attempts, batch.config.max_retries + 1, error)
-        if attempts > batch.config.max_retries:
-            batch.outcomes[index] = TaskOutcome(status="quarantined",
-                                                attempts=attempts,
-                                                error=error)
-            batch.result_order.append(index)
-        else:
-            batch.ready_at[index] = (time.monotonic()
-                                     + batch.config.backoff_s(attempts))
-            batch.queue.append(index)
-            batch.queue.sort()
+        self._stats["requeued"] += 1
+        telemetry.counter("rpc.requeued")
+        if cause is not None:
+            self._stats[f"{cause}s"] += 1
+            telemetry.counter(f"rpc.{cause}")
+        self._batch.fail(index, error)  # type: ignore[union-attr]
 
     def _drop_worker(self, worker: Optional[_WorkerConn]) -> None:
         if worker is None:
             return
         with self._lock:
-            if not worker.alive:
+            if self._workers.get(worker.name) is not worker:
                 return
-            worker.alive = False
-            self._workers.pop(worker.name, None)
+            del self._workers[worker.name]
             self.workers_lost += 1
-            batch = self._batch
-            if batch is not None:
-                for index, (name, _) in list(batch.running.items()):
-                    if name != worker.name:
-                        continue
-                    batch.running.pop(index)
-                    batch.requeued += 1
-                    telemetry.counter("rpc.requeued")
-                    self._charge_locked(
-                        batch, index,
-                        f"worker {worker.name} lost mid-job "
-                        "(connection dropped or process died)")
+            if self._batch is not None:
+                for index, (name, _, _) in list(self._batch.running.items()):
+                    if name == worker.name:
+                        self._revoke(index, f"worker {worker.name} lost "
+                                            "mid-job (connection dropped or "
+                                            "process died)")
         telemetry.counter("rpc.worker_lost")
         if self._closed:
             logger.info("worker %s disconnected at shutdown", worker.name)
         else:
             logger.warning("worker %s lost", worker.name)
 
-    def _check_heartbeats(self) -> None:
-        """Revoke assignments whose worker went silent; leave sockets open.
+    def _check_assignments(self) -> None:
+        """Revoke jobs whose worker went silent or that outlived
+        ``job_timeout``; leave the sockets open.
 
         A merely-wedged worker will eventually send a RESULT carrying the
         revoked epoch — that is the fencing path, and we *want* the message
         to arrive so it can be counted and dropped rather than racing a
         re-execution.
         """
-        timeout = self.config.heartbeat_timeout_s
+        silence = self.config.heartbeat_timeout_s
         now = time.monotonic()
         with self._lock:
             batch = self._batch
             if batch is None:
                 return
-            for index, (name, _) in list(batch.running.items()):
+            expired = batch.expired()
+            for index, (name, _, _) in list(batch.running.items()):
                 worker = self._workers.get(name)
-                if worker is None or now - worker.last_seen <= timeout:
-                    continue
-                batch.running.pop(index)
-                batch.heartbeat_timeouts += 1
-                batch.requeued += 1
-                telemetry.counter("rpc.heartbeat_timeout")
-                telemetry.counter("rpc.requeued")
-                self._charge_locked(
-                    batch, index,
-                    f"worker {name} missed heartbeats for "
-                    f"{now - worker.last_seen:.1f}s (deadline {timeout:.1f}s)")
+                quiet = now - worker.last_seen if worker is not None else 0.0
+                if quiet > silence:
+                    self._revoke(index, f"worker {name} missed heartbeats "
+                                        f"for {quiet:.1f}s (deadline "
+                                        f"{silence:.1f}s)",
+                                 "heartbeat_timeout")
+                elif index in expired:
+                    self._revoke(index, f"TimeoutError: job exceeded "
+                                        f"{batch.config.job_timeout:.1f}s on "
+                                        f"worker {name}", "job_timeout")
 
     # ------------------------------------------------------------------ #
     # Batch execution.
@@ -536,114 +478,71 @@ class RemoteExecutor:
         """Execute ``fn(item, attempt)`` for every item on the worker fleet.
 
         Blocks until every item has a terminal :class:`TaskOutcome` (ok /
-        quarantined / interrupted), supervising heartbeats, respawns and
-        pool-empty degradation from the calling thread.  ``heartbeat`` (the
-        scheduler's store-lease refresher) is invoked on every supervision
-        tick, so leases held for remote jobs stay visibly alive.
+        quarantined / interrupted), supervising heartbeats, job deadlines,
+        respawns and pool-empty degradation from the calling thread.
+        ``heartbeat`` (the scheduler's store-lease refresher) is invoked on
+        every supervision tick, so leases held for remote jobs stay visibly
+        alive.
         """
-        config = config or ParallelConfig()
-        items = list(items)
-        if not items:
-            self.last_stats = {"dispatched": 0, "requeued": 0, "fenced": 0,
-                               "heartbeat_timeouts": 0, "fallback_local": 0,
-                               "result_order": []}
-            return []
-        batch = _Batch(fn, items, config)
+        batch = Supervisor(items, config or ParallelConfig(), lock=self._lock)
         with self._lock:
             if self._batch is not None:
                 raise RuntimeError("RemoteExecutor.run is not reentrant")
             if self._closed:
                 raise RuntimeError("RemoteExecutor is closed")
-            self._batch = batch
+            self._batch, self._fn = batch, fn
+            self._stats = dict.fromkeys(
+                ("dispatched", "requeued", "fenced", "heartbeat_timeouts",
+                 "job_timeouts", "fallback_local"), 0)
         empty_since: Optional[float] = None
+
+        def step() -> None:
+            nonlocal empty_since
+            self._reap_and_respawn()
+            self._check_assignments()
+            if self.worker_count():
+                empty_since = None
+            elif empty_since is None:
+                empty_since = time.monotonic()
+            elif (time.monotonic() - empty_since
+                  > self.config.worker_deadline_s):
+                self._degrade(batch, fn, should_stop, heartbeat)
+            time.sleep(self.config.poll_interval_s)
+
         try:
-            while True:
-                with self._lock:
-                    finished = batch.done()
-                    alive = len(self._workers)
-                if finished:
-                    break
-                if should_stop is not None and should_stop():
-                    self._drain(batch)
-                    break
-                if heartbeat is not None:
-                    heartbeat()
-                self._reap_and_respawn()
-                self._check_heartbeats()
-                if alive == 0:
-                    if empty_since is None:
-                        empty_since = time.monotonic()
-                    elif (time.monotonic() - empty_since
-                          > self.config.worker_deadline_s):
-                        self._degrade(batch, should_stop, heartbeat)
-                        break
-                else:
-                    empty_since = None
-                time.sleep(self.config.poll_interval_s)
+            batch.drive(step, should_stop, heartbeat)
         finally:
             with self._lock:
                 self._batch = None
-            self.last_stats = {
-                "dispatched": batch.dispatched,
-                "requeued": batch.requeued,
-                "fenced": batch.fenced,
-                "heartbeat_timeouts": batch.heartbeat_timeouts,
-                "fallback_local": batch.fallback_local,
-                "result_order": list(batch.result_order),
-            }
-        for index, outcome in enumerate(batch.outcomes):
-            if outcome is None:
-                batch.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=batch.failures[index],
-                    error="shutdown requested")
-        return batch.outcomes  # type: ignore[return-value]
+                self.last_stats = dict(self._stats,
+                                       result_order=list(batch.result_order))
+        return batch.finish()
 
-    def _degrade(self, batch: _Batch,
+    def _degrade(self, batch: Supervisor, fn: Callable[..., Any],
                  should_stop: Optional[Callable[[], bool]],
                  heartbeat: Optional[Callable[[], None]]) -> None:
         """Pool empty past the deadline: finish locally or fail loudly."""
         with self._lock:
-            # Anything still marked running sat on a worker that is gone;
-            # revoke so a zombie reconnect cannot race the local execution.
-            for index in list(batch.running):
-                batch.running.pop(index)
-                batch.requeued += 1
-            pending = [index for index, outcome in enumerate(batch.outcomes)
-                       if outcome is None]
-            batch.queue = []
-        if not pending:
+            # Detach the batch first: a zombie reconnect now gets IDLE and
+            # any late RESULT is fenced instead of racing the local run.
+            # Whatever is still assigned sat on a worker that is gone.
+            self._batch = None
+            self._stats["requeued"] += batch.revoke_all()
+        if batch.done():
             return
         if self.config.fallback == "fail":
             raise NoWorkersError(
                 f"all remote workers lost and none reconnected within "
-                f"{self.config.worker_deadline_s:.1f}s; {len(pending)} "
+                f"{self.config.worker_deadline_s:.1f}s; {len(batch.queue)} "
                 f"item(s) unfinished — completed work is in the store, "
                 f"re-run to resume")
-        batch.fallback_local += 1
+        self._stats["fallback_local"] += 1
         telemetry.counter("rpc.fallback_local")
         logger.warning(
             "all remote workers lost for %.1fs; finishing %d item(s) "
-            "locally", self.config.worker_deadline_s, len(pending))
-        outcomes = run_resilient(
-            batch.fn, [batch.items[index] for index in pending],
-            batch.config, should_stop=should_stop, heartbeat=heartbeat,
-            initial_failures=[batch.failures[index] for index in pending])
-        with self._lock:
-            for index, outcome in zip(pending, outcomes):
-                if batch.outcomes[index] is None:
-                    batch.outcomes[index] = outcome
-                    batch.result_order.append(index)
-
-    def _drain(self, batch: _Batch) -> None:
-        """Graceful stop: wait briefly for in-flight work, then give up."""
-        grace = batch.config.job_timeout or 60.0
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not batch.running:
-                    return
-                batch.queue = []
-            time.sleep(self.config.poll_interval_s)
+            "locally", self.config.worker_deadline_s, len(batch.queue))
+        # Same supervisor, local transport: attempt counts carry over.
+        run_local(batch, fn, should_stop, heartbeat)
 
     # ------------------------------------------------------------------ #
     def close(self, timeout: float = 5.0) -> None:
@@ -805,27 +704,31 @@ def run_worker(host: str, port: int, connect_attempts: int = 20,
     Reconnects after injected connection drops and after losing the
     coordinator (which may be between batches or restarting).  Returns a
     process exit code: 0 after an orderly BYE, 1 when the coordinator was
-    never reachable, 2 on protocol rejection.
+    never reachable, 2 on protocol rejection.  While serving, the process
+    counts as a worker for :func:`faults.in_worker_process`, so ``job.crash``
+    kills it and ``job.interrupt`` leaves it alone, exactly as in a pool.
     """
     served_once = False
-    while True:
-        sock = _connect(host, port, connect_attempts, connect_delay_s)
-        if sock is None:
-            if served_once:
-                logger.info("coordinator gone; exiting")
-                return 0
-            logger.error("could not reach coordinator at %s:%d", host, port)
-            return 1
-        try:
-            outcome = _serve_session(sock)
-        finally:
+    with faults.worker_process():
+        while True:
+            sock = _connect(host, port, connect_attempts, connect_delay_s)
+            if sock is None:
+                if served_once:
+                    logger.info("coordinator gone; exiting")
+                    return 0
+                logger.error("could not reach coordinator at %s:%d", host,
+                             port)
+                return 1
             try:
-                sock.close()
-            except OSError:
-                pass
-        if outcome == "bye":
-            return 0
-        if outcome == "reject":
-            return 2
-        served_once = True
-        # "drop" (injected) and "lost" both retry the dial loop.
+                outcome = _serve_session(sock)
+            finally:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+            if outcome == "bye":
+                return 0
+            if outcome == "reject":
+                return 2
+            served_once = True
+            # "drop" (injected) and "lost" both retry the dial loop.

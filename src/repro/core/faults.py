@@ -16,12 +16,14 @@ Sites
     training happens (a deterministic stand-in for a raising design).
 ``job.crash``
     Kill the worker process with ``os._exit`` — the parent sees a
-    ``BrokenProcessPool`` and must respawn the pool.  Under serial execution
+    ``BrokenProcessPool`` and must respawn the pool (a remote coordinator
+    sees a lost worker and requeues the job).  Under serial execution
     (where dying would take the campaign down with it) the site degrades to
     an :class:`InjectedFault` marked as a crash surrogate.
 ``job.timeout``
     Sleep ``delay_s`` seconds inside the job so a configured ``job_timeout``
-    expires (under serial execution the sleep simply delays the job).
+    expires — the pool is recycled, a remote assignment revoked and its late
+    result fenced (under serial execution the sleep simply delays the job).
 ``job.interrupt``
     Deliver ``SIGINT`` to the current process mid-job (parent/serial
     execution only) — exercising the scheduler's graceful-shutdown path with
@@ -92,6 +94,7 @@ __all__ = [
     "inject",
     "perturb_job",
     "in_worker_process",
+    "worker_process",
     "store_rule",
     "rpc_rule",
 ]
@@ -256,11 +259,28 @@ def inject(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
         install_plan(previous)
 
 
+#: Set while :func:`~repro.core.distributed.run_worker` serves a coordinator:
+#: a ``repro worker`` subprocess has no multiprocessing parent, yet it is a
+#: worker whose death the coordinator detects and heals.
+_REMOTE_WORKER = False
+
+
+@contextmanager
+def worker_process() -> Iterator[None]:
+    """Mark this process as a campaign worker for the ``with`` block."""
+    global _REMOTE_WORKER
+    previous, _REMOTE_WORKER = _REMOTE_WORKER, True
+    try:
+        yield
+    finally:
+        _REMOTE_WORKER = previous
+
+
 def in_worker_process() -> bool:
-    """True inside a spawned/forked pool worker, False in the parent."""
+    """True inside a pool worker or a ``repro worker``, False in the parent."""
     import multiprocessing
 
-    return multiprocessing.parent_process() is not None
+    return _REMOTE_WORKER or multiprocessing.parent_process() is not None
 
 
 def perturb_job(key: str, attempt: int) -> None:

@@ -1,10 +1,11 @@
-"""Process-parallel execution of independent evaluation work items.
+"""Fault-tolerant, order-preserving execution of independent work items.
 
 The §3.1 protocol is embarrassingly parallel: every (design, seed) training
-session is an independent, deterministic function of its inputs.  This module
-provides the one primitive the evaluation layer needs — an order-preserving
-``parallel_map`` — plus the configuration dataclass that is plumbed from the
-CLI (``--workers``) down to :class:`~repro.core.evaluation.TestScoreProtocol`.
+session is an independent, deterministic function of its inputs.  Every
+batch runs through one :class:`Supervisor` (queue, attempts, backoff,
+assignment epochs and deadlines, outcomes), driven by one of three
+transports: inline in the caller, a local process pool, or the socket
+workers of :mod:`repro.core.distributed`.
 
 Design constraints:
 
@@ -13,25 +14,31 @@ Design constraints:
   is bit-identical to the serial one regardless of scheduling.
 * **Graceful degradation.** ``max_workers <= 1`` (the default) runs inline
   with zero overhead; if a process pool cannot be created (restricted
-  sandboxes, missing semaphores) the map falls back to the serial path with a
-  warning instead of failing the experiment.
+  sandboxes, missing semaphores) the batch falls back to the inline
+  transport with a warning instead of failing the experiment.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import math
 import os
 import pickle
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    TypeVar, Union)
 
 from ..log import get_logger
 from . import telemetry
 
-__all__ = ["ParallelConfig", "TaskOutcome", "effective_workers",
+__all__ = ["ParallelConfig", "Supervisor", "TaskOutcome", "effective_workers",
            "parallel_map", "run_resilient"]
 
 T = TypeVar("T")
@@ -42,8 +49,17 @@ logger = get_logger("parallel")
 #: Environment variable consulted when ``max_workers`` is None.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: Seconds between polls of the worker pool in the resilient driver.
+#: Seconds per supervision tick of the pool transport.
 _POLL_INTERVAL_S = 0.05
+
+#: Fan out only when a batch has at least this many items; tiny batches are
+#: not worth the process start-up cost.
+CHUNK_THRESHOLD = 2
+
+#: Growth factor of the retry delay (exponential backoff).
+BACKOFF_FACTOR = 2.0
+
+_POOL_DIED = "BrokenProcessPool: worker process died"
 
 
 @dataclass(frozen=True)
@@ -54,25 +70,22 @@ class ParallelConfig:
         max_workers: Process count for fan-out.  ``None`` reads
             :data:`WORKERS_ENV_VAR` (defaulting to 1); any value <= 1 runs
             serially in-process.
-        chunk_threshold: Fan out only when there are at least this many work
-            items; tiny sweeps are not worth the process start-up cost.
         max_retries: How many times :func:`run_resilient` re-runs a failing
             work item (raise, worker death, timeout) before quarantining it.
             0 fails fast on the first error.
         backoff_base_s: First retry delay; each further retry multiplies it
-            by ``backoff_factor`` (exponential backoff).
-        backoff_factor: Growth factor of the retry delay.
-        job_timeout: Seconds one work item may run inside a pool worker
-            before it is counted as failed and its worker recycled.  None
-            disables the limit.  Only enforced under process fan-out — a
-            serial in-process job cannot be preempted.
+            by :data:`BACKOFF_FACTOR` (exponential backoff).
+        job_timeout: Seconds one assignment of a work item may run before it
+            is charged as failed and retried.  None disables the limit.
+            Enforced by the pool transport (the wedged pool is recycled) and
+            the remote transport (the assignment is revoked and its late
+            result fenced; the worker is left alone).  An inline job cannot
+            be preempted, so serial execution does not enforce it.
     """
 
     max_workers: Optional[int] = None
-    chunk_threshold: int = 2
     max_retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     job_timeout: Optional[float] = None
 
     def resolved_workers(self) -> int:
@@ -80,7 +93,7 @@ class ParallelConfig:
 
     def backoff_s(self, failures: int) -> float:
         """Delay before the ``failures``-th retry (1-based)."""
-        return self.backoff_base_s * (self.backoff_factor ** max(0, failures - 1))
+        return self.backoff_base_s * (BACKOFF_FACTOR ** max(0, failures - 1))
 
 
 @dataclass
@@ -117,64 +130,330 @@ def effective_workers(max_workers: Optional[int] = None) -> int:
     return max(1, max_workers)
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T],
-                 config: Optional[ParallelConfig] = None) -> List[R]:
-    """Map ``fn`` over ``items``, optionally across worker processes.
-
-    Results preserve the order of ``items``.  ``fn`` and every item must be
-    picklable when more than one worker is requested; the serial path has no
-    such requirement.  Pool construction errors degrade to the serial path
-    with a warning so experiments never die because of sandbox restrictions.
-    """
-    config = config or ParallelConfig()
-    items = list(items)
-    workers = config.resolved_workers()
-    tel = telemetry.get_telemetry()
-    attrs = ({"items": len(items), "workers": workers}
-             if tel is not None else None)
-    if workers <= 1 or len(items) < max(config.chunk_threshold, 2):
-        with telemetry.span("parallel.map", attrs):
-            return [fn(item) for item in items]
-    workers = min(workers, len(items))
-    if attrs is not None:
-        attrs["workers"] = workers
-    with telemetry.span("parallel.map", attrs):
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
-        except (OSError, PermissionError, pickle.PicklingError,
-                AttributeError) as exc:
-            logger.warning("process pool unavailable (%r); "
-                           "falling back to serial execution", exc)
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                f"falling back to serial execution")
-            if tel is not None:
-                tel.counter("parallel.serial_fallback")
-            return [fn(item) for item in items]
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 # --------------------------------------------------------------------------- #
-# Resilient execution: retry/backoff, pool respawn, timeouts, quarantine.
+# The supervisor: one batch's retry, backoff, quarantine and shutdown state.
+# --------------------------------------------------------------------------- #
+class Supervisor:
+    """State machine of one batch, shared by every transport.
+
+    Every item is in exactly one place: the queue, an *assignment* (one
+    dispatch, stamped with a fresh epoch and a deadline), or its terminal
+    :class:`TaskOutcome`.  :meth:`take` opens an assignment; :meth:`settle`,
+    :meth:`fail` and :meth:`revoke` close it.  A transport that can receive
+    late results asks :meth:`holds` first, so a revoked epoch is fenced.
+    Callers on several threads share ``lock`` (the remote transport's).
+    """
+
+    def __init__(self, items: Sequence[Any], config: ParallelConfig,
+                 lock: Any = None) -> None:
+        self.items = list(items)
+        self.config = config
+        self.lock = lock or contextlib.nullcontext()
+        count = len(self.items)
+        self.outcomes: List[Optional[TaskOutcome]] = [None] * count
+        self.failures = [0] * count
+        self.ready_at = [0.0] * count
+        self.epochs = [0] * count
+        self.queue: List[int] = list(range(count))
+        #: index -> (owner, epoch, deadline) of every open assignment.
+        self.running: Dict[int, Tuple[Any, int, float]] = {}
+        #: Indices in settle order (tests assert arrival shuffles do not
+        #: leak into the submission-order merge).
+        self.result_order: List[int] = []
+        #: The exception behind each item's latest failure, when one exists.
+        self.raised: Dict[int, BaseException] = {}
+        #: Set by a shutdown request: queued items will not start.
+        self.stopping = False
+
+    def done(self) -> bool:
+        """Nothing is running and nothing more will start."""
+        return not self.running and (not self.queue or self.stopping)
+
+    def drive(self, step: Callable[[], None],
+              should_stop: Optional[Callable[[], bool]] = None,
+              heartbeat: Optional[Callable[[], None]] = None) -> None:
+        """The supervision loop of every transport: ``step()`` until done.
+
+        ``should_stop`` (polled between steps) or ^C stops it gracefully:
+        nothing new starts, and running work gets ``job_timeout`` (60 s
+        without one) to finish.  A second ^C while draining propagates.
+        """
+        grace_until = math.inf
+        while True:
+            with self.lock:
+                if self.done():
+                    return
+            if (not self.stopping and should_stop is not None
+                    and should_stop()):
+                grace_until = self._stop()
+            if time.monotonic() > grace_until:
+                return
+            if heartbeat is not None:
+                heartbeat()
+            try:
+                step()
+            except KeyboardInterrupt:
+                if self.stopping:
+                    raise
+                grace_until = self._stop()
+
+    def _stop(self) -> float:
+        with self.lock:
+            self.stopping = True
+        return time.monotonic() + (self.config.job_timeout or 60.0)
+
+    def take(self, owner: Any = None) -> Optional[Tuple[int, int, int]]:
+        """Assign the first ready item: ``(index, epoch, attempt)`` or None."""
+        if self.stopping:
+            return None
+        now = time.monotonic()
+        for slot, index in enumerate(self.queue):
+            if self.ready_at[index] <= now:
+                del self.queue[slot]
+                self.epochs[index] += 1
+                timeout = self.config.job_timeout
+                deadline = math.inf if timeout is None else now + timeout
+                self.running[index] = (owner, self.epochs[index], deadline)
+                return index, self.epochs[index], self.failures[index]
+        return None
+
+    def wait_s(self) -> float:
+        """Seconds until the earliest queued item is ready again."""
+        if not self.queue or self.stopping:
+            return _POLL_INTERVAL_S
+        soonest = min(self.ready_at[index] for index in self.queue)
+        return max(soonest - time.monotonic(), 0.0)
+
+    def holds(self, index: int, epoch: int) -> bool:
+        """Whether ``epoch`` is still ``index``'s open assignment."""
+        return index in self.running and self.running[index][1] == epoch
+
+    def expired(self) -> Set[int]:
+        """Indices whose assignment outlived ``job_timeout``."""
+        now = time.monotonic()
+        return {index for index, (_, _, deadline) in self.running.items()
+                if now > deadline}
+
+    def settle(self, index: int, value: Any) -> None:
+        del self.running[index]
+        self.outcomes[index] = TaskOutcome(value=value,
+                                           attempts=self.failures[index] + 1)
+        self.result_order.append(index)
+
+    def fail(self, index: int, error: Union[BaseException, str]) -> None:
+        """Charge one attempt to ``index``; requeue it or quarantine it."""
+        del self.running[index]
+        if isinstance(error, BaseException):
+            self.raised[index] = error
+            error = _describe(error)
+        self.failures[index] += 1
+        attempts = self.failures[index]
+        logger.warning("work item %d failed (attempt %d/%d): %s", index,
+                       attempts, self.config.max_retries + 1, error)
+        if attempts > self.config.max_retries:
+            self.outcomes[index] = TaskOutcome(status="quarantined",
+                                               attempts=attempts, error=error)
+            self.result_order.append(index)
+        else:
+            self.ready_at[index] = (time.monotonic()
+                                    + self.config.backoff_s(attempts))
+            bisect.insort(self.queue, index)
+
+    def revoke(self, index: int) -> None:
+        """Close an assignment uncharged and requeue the item."""
+        del self.running[index]
+        bisect.insort(self.queue, index)
+
+    def revoke_all(self) -> int:
+        revoked = len(self.running)
+        for index in list(self.running):
+            self.revoke(index)
+        return revoked
+
+    def finish(self) -> List[TaskOutcome]:
+        """Submission-ordered outcomes; anything unfinished is interrupted."""
+        for index in self.queue:
+            self.outcomes[index] = TaskOutcome(
+                status="interrupted", attempts=self.failures[index],
+                error="shutdown requested")
+        for index in self.running:
+            self.outcomes[index] = TaskOutcome(
+                status="interrupted", attempts=self.failures[index],
+                error="shutdown requested while running")
+        self.queue, self.running = [], {}
+        return self.outcomes  # type: ignore[return-value]
+
+
+# --------------------------------------------------------------------------- #
+# Local transports.
+# --------------------------------------------------------------------------- #
+def _inline_step(supervisor: Supervisor,
+                 fn: Callable[[Any, int], Any]) -> None:
+    """Run one item in the caller (no preemption, so no ``job_timeout``)."""
+    job = supervisor.take()
+    if job is None:  # everything left is backing off
+        time.sleep(supervisor.wait_s())
+        return
+    index, _, attempt = job
+    try:
+        value = fn(supervisor.items[index], attempt)
+    except Exception as exc:  # noqa: BLE001 - isolation boundary
+        supervisor.fail(index, exc)
+    except BaseException:  # ^C mid-job: this attempt will never finish
+        supervisor.revoke(index)
+        raise
+    else:
+        supervisor.settle(index, value)
+
+
+class _PoolTransport:
+    """Drives a supervisor through a local process pool.
+
+    A job is submitted only when a worker slot is free, so its deadline
+    starts at dispatch.  A dead worker charges every in-flight assignment; a
+    job past ``job_timeout`` is charged and the rest requeued uncharged.
+    Either way the pool is recycled.
+    """
+
+    def __init__(self, supervisor: Supervisor,
+                 fn: Callable[[Any, int], Any], workers: int) -> None:
+        pickle.dumps(fn)  # an unpicklable function cannot use a pool at all
+        self.supervisor = supervisor
+        self.fn = fn
+        self.workers = workers
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.futures: Dict[Future, int] = {}
+
+    def step(self) -> None:
+        supervisor, futures = self.supervisor, self.futures
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        while len(futures) < self.workers:
+            job = supervisor.take()
+            if job is None:
+                break
+            index, _, attempt = job
+            futures[self.pool.submit(self.fn, supervisor.items[index],
+                                     attempt)] = index
+        if not futures:  # everything left is backing off
+            time.sleep(min(supervisor.wait_s(), 0.25) or _POLL_INTERVAL_S)
+            return
+        done, _ = wait(futures, timeout=_POLL_INTERVAL_S,
+                       return_when=FIRST_COMPLETED)
+        broken = False
+        for future in done:
+            broken = self._collect(future, futures.pop(future)) or broken
+        expired = supervisor.expired()
+        if not (broken or expired):
+            return
+        for future, index in futures.items():
+            if future.done():
+                # Finished as the pool broke or wedged: harvest it (a
+                # BrokenProcessPool result charges it).
+                self._collect(future, index)
+            elif broken:
+                supervisor.fail(index, _POOL_DIED)
+            elif index in expired:
+                supervisor.fail(index, f"TimeoutError: job exceeded "
+                                       f"{supervisor.config.job_timeout:.1f}s")
+            else:
+                supervisor.revoke(index)
+        futures.clear()
+        self.close(recycle=True)
+        telemetry.counter("parallel.pool_recycled")
+        if broken:
+            logger.warning("worker pool died; respawning (%d item(s) queued)",
+                           len(supervisor.queue))
+
+    def _collect(self, future: Future, index: int) -> bool:
+        """Settle or charge one finished future; True if the pool broke."""
+        try:
+            value = future.result()
+        except BrokenProcessPool:
+            self.supervisor.fail(index, _POOL_DIED)
+            return True
+        except Exception as exc:  # noqa: BLE001 - isolation boundary
+            self.supervisor.fail(index, exc)
+            return False
+        self.supervisor.settle(index, value)
+        return False
+
+    def close(self, recycle: bool = False) -> None:
+        pool, self.pool = self.pool, None
+        if pool is None:
+            return
+        pool.shutdown(wait=not recycle, cancel_futures=True)
+        if recycle:
+            # A wedged worker would otherwise run to completion in the
+            # abandoned pool; terminate what we can (best effort, the
+            # executor offers no public kill switch).  shutdown() may have
+            # already nulled the internals dict.
+            for process in list((getattr(pool, "_processes", None)
+                                 or {}).values()):
+                try:
+                    process.terminate()
+                except OSError:  # pragma: no cover - already gone
+                    pass
+
+
+def run_local(supervisor: Supervisor, fn: Callable[[Any, int], Any],
+              should_stop: Optional[Callable[[], bool]] = None,
+              heartbeat: Optional[Callable[[], None]] = None) -> None:
+    """Drive ``supervisor`` to completion in this process or a local pool.
+
+    Fans out over ``config.max_workers`` processes when at least
+    :data:`CHUNK_THRESHOLD` items are queued; a pool that cannot be created
+    degrades to the inline transport, attempt counts intact.
+    """
+    queued = len(supervisor.queue)
+    workers = min(supervisor.config.resolved_workers(), queued)
+    tel = telemetry.get_telemetry()
+    attrs = ({"items": len(supervisor.items), "workers": max(workers, 1)}
+             if tel is not None else None)
+    with telemetry.span("parallel.map", attrs):
+        if workers > 1 and queued >= CHUNK_THRESHOLD:
+            try:
+                pool = _PoolTransport(supervisor, fn, workers)
+                try:
+                    supervisor.drive(pool.step, should_stop, heartbeat)
+                finally:
+                    pool.close()
+                return
+            except (OSError, pickle.PicklingError, AttributeError,
+                    TypeError) as exc:
+                logger.warning("process pool unavailable (%r); "
+                               "falling back to serial execution", exc)
+                warnings.warn(f"process pool unavailable ({exc!r}); "
+                              f"falling back to serial execution")
+                if tel is not None:
+                    tel.counter("parallel.serial_fallback")
+                supervisor.revoke_all()
+        supervisor.drive(partial(_inline_step, supervisor, fn), should_stop,
+                         heartbeat)
+
+
+# --------------------------------------------------------------------------- #
+# Public entry points.
 # --------------------------------------------------------------------------- #
 def run_resilient(fn: Callable[[T, int], R], items: Sequence[T],
                   config: Optional[ParallelConfig] = None,
                   should_stop: Optional[Callable[[], bool]] = None,
                   heartbeat: Optional[Callable[[], None]] = None,
-                  initial_failures: Optional[Sequence[int]] = None,
                   ) -> List[TaskOutcome]:
     """Map ``fn(item, attempt)`` over ``items`` with failure isolation.
 
-    The fault-tolerant sibling of :func:`parallel_map`, used by the campaign
-    scheduler.  One raising, hanging or crashing work item no longer poisons
-    the batch:
+    Used by the campaign scheduler.  One raising, hanging or crashing work
+    item does not poison the batch:
 
     * an item whose attempt raises is retried with exponential backoff up to
       ``config.max_retries`` times, then **quarantined** — the batch
       completes with a per-item :class:`TaskOutcome` instead of a traceback;
-    * a worker death (``BrokenProcessPool``) charges an attempt to the items
-      that were running, respawns the pool, and resubmits everything else
-      uncharged;
+    * a worker death (``BrokenProcessPool``) charges an attempt to every
+      item in flight and respawns the pool;
     * an item exceeding ``config.job_timeout`` inside a worker is failed,
       its (possibly wedged) pool recycled, and the item retried;
     * ``should_stop`` (polled between attempts and pool ticks) requests a
@@ -185,328 +464,32 @@ def run_resilient(fn: Callable[[T, int], R], items: Sequence[T],
     deterministic fault plans can key off it.  Outcomes preserve submission
     order, and retried attempts run exactly the code a first attempt runs,
     so recovered results are bit-identical to undisturbed ones.
-
-    ``initial_failures`` seeds each item's attempt counter (same length as
-    ``items``) — used when another executor hands a partially-failed batch
-    over (the remote transport's local fallback), so retry budgets and
-    fault-plan occurrence indices continue instead of restarting.
     """
-    config = config or ParallelConfig()
-    items = list(items)
-    workers = config.resolved_workers()
-    tel = telemetry.get_telemetry()
-    attrs = ({"items": len(items), "workers": workers}
-             if tel is not None else None)
-    if workers <= 1 or len(items) < max(config.chunk_threshold, 2):
-        with telemetry.span("parallel.map", attrs):
-            return _run_serial(fn, items, config, should_stop, heartbeat,
-                               initial_failures)
-    workers = min(workers, len(items))
-    if attrs is not None:
-        attrs["workers"] = workers
-    with telemetry.span("parallel.map", attrs):
-        driver = _ResilientDriver(fn, items, config, workers,
-                                  should_stop=should_stop,
-                                  heartbeat=heartbeat,
-                                  initial_failures=initial_failures)
-        try:
-            return driver.run()
-        except (OSError, PermissionError, pickle.PicklingError,
-                AttributeError) as exc:
-            logger.warning("process pool unavailable (%r); "
-                           "falling back to serial execution", exc)
-            warnings.warn(
-                f"process pool unavailable ({exc!r}); "
-                f"falling back to serial execution")
-            if tel is not None:
-                tel.counter("parallel.serial_fallback")
-            return _run_serial(fn, items, config, should_stop, heartbeat,
-                               initial_failures)
+    supervisor = Supervisor(items, config or ParallelConfig())
+    run_local(supervisor, fn, should_stop, heartbeat)
+    return supervisor.finish()
 
 
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _without_attempt(fn: Callable[[T], R], item: T, attempt: int) -> R:
+    return fn(item)
 
 
-def _run_serial(fn: Callable[[T, int], R], items: Sequence[T],
-                config: ParallelConfig,
-                should_stop: Optional[Callable[[], bool]],
-                heartbeat: Optional[Callable[[], None]] = None,
-                initial_failures: Optional[Sequence[int]] = None,
-                ) -> List[TaskOutcome]:
-    """In-process execution with the same retry/quarantine semantics.
+def parallel_map(fn: Callable[[T], R], items: Sequence[T],
+                 config: Optional[ParallelConfig] = None) -> List[R]:
+    """Map ``fn`` over ``items``, optionally across worker processes.
 
-    ``heartbeat`` fires between items and attempts — the finest granularity
-    available without preemption, which bounds lease staleness to one
-    item's runtime.
+    Results preserve the order of ``items``.  ``fn`` and every item must be
+    picklable when more than one worker is requested; the serial path has no
+    such requirement.  Nothing is retried: the first failed item (in
+    submission order) re-raises its error once the batch has finished.
     """
-    outcomes: List[TaskOutcome] = []
-    interrupted = False
-    for index, item in enumerate(items):
-        if heartbeat is not None:
-            heartbeat()
-        if interrupted or (should_stop is not None and should_stop()):
-            outcomes.append(TaskOutcome(status="interrupted", attempts=0,
-                                        error="shutdown requested"))
-            interrupted = True
-            continue
-        attempt = initial_failures[index] if initial_failures else 0
-        while True:
-            try:
-                value = fn(item, attempt)
-            except KeyboardInterrupt:
-                # ^C (or SIGTERM translated by the scheduler) mid-job: the
-                # current item is lost, the rest is drained as interrupted,
-                # and the caller persists whatever completed.
-                outcomes.append(TaskOutcome(status="interrupted",
-                                            attempts=attempt + 1,
-                                            error="interrupted mid-job"))
-                interrupted = True
-                break
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                attempt += 1
-                logger.warning("work item %d failed (attempt %d/%d): %s",
-                               index, attempt, config.max_retries + 1,
-                               _describe(exc))
-                if should_stop is not None and should_stop():
-                    outcomes.append(TaskOutcome(status="interrupted",
-                                                attempts=attempt,
-                                                error=_describe(exc)))
-                    interrupted = True
-                    break
-                if attempt > config.max_retries:
-                    outcomes.append(TaskOutcome(status="quarantined",
-                                                attempts=attempt,
-                                                error=_describe(exc)))
-                    break
-                time.sleep(config.backoff_s(attempt))
-                if heartbeat is not None:
-                    heartbeat()
-            else:
-                outcomes.append(TaskOutcome(value=value,
-                                            attempts=attempt + 1))
-                break
-    return outcomes
-
-
-class _ResilientDriver:
-    """Pool-backed engine behind :func:`run_resilient`.
-
-    Tracks per-item attempt counts and backoff deadlines, stamps when each
-    future actually starts running (the only honest base for a job timeout
-    and for charging pool crashes to the right items), and rebuilds the
-    executor whenever it breaks or wedges.
-    """
-
-    def __init__(self, fn: Callable[[T, int], R], items: List[T],
-                 config: ParallelConfig, workers: int,
-                 should_stop: Optional[Callable[[], bool]] = None,
-                 heartbeat: Optional[Callable[[], None]] = None,
-                 initial_failures: Optional[Sequence[int]] = None) -> None:
-        self.fn = fn
-        self.items = items
-        self.config = config
-        self.workers = workers
-        self.should_stop = should_stop or (lambda: False)
-        self.heartbeat = heartbeat or (lambda: None)
-        self.outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
-        self.failures = (list(initial_failures) if initial_failures
-                         else [0] * len(items))
-        self.ready_at = [0.0] * len(items)
-        self.queue: List[int] = list(range(len(items)))
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.futures: Dict[Any, int] = {}
-        self.started: Dict[Any, float] = {}
-
-    # ------------------------------------------------------------------ #
-    def run(self) -> List[TaskOutcome]:
-        try:
-            while self.queue or self.futures:
-                if self.should_stop():
-                    self._drain()
-                    break
-                self._submit_ready()
-                self._tick()
-                self.heartbeat()
-        except KeyboardInterrupt:
-            self._drain()
-        finally:
-            self._shutdown_pool()
-        for index, outcome in enumerate(self.outcomes):
-            if outcome is None:
-                self.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=self.failures[index],
-                    error="shutdown requested")
-        return self.outcomes  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self.pool
-
-    def _shutdown_pool(self, recycle: bool = False) -> None:
-        pool = self.pool
-        self.pool = None
-        self.futures.clear()
-        self.started.clear()
-        if pool is None:
-            return
-        try:
-            pool.shutdown(wait=not recycle, cancel_futures=True)
-        except TypeError:  # pragma: no cover - cancel_futures needs py3.9
-            pool.shutdown(wait=not recycle)
-        if recycle:
-            # A wedged worker would otherwise run to completion in the
-            # abandoned pool; terminate what we can (best effort, the
-            # executor offers no public kill switch).
-            # shutdown() may have already nulled the internals dict.
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-
-    def _submit_ready(self) -> None:
-        now = time.monotonic()
-        pool = self._ensure_pool()
-        free = self.workers - len(self.futures)
-        remaining: List[int] = []
-        for index in self.queue:
-            if free > 0 and self.ready_at[index] <= now:
-                future = pool.submit(self.fn, self.items[index],
-                                     self.failures[index])
-                self.futures[future] = index
-                free -= 1
-            else:
-                remaining.append(index)
-        self.queue = remaining
-
-    def _tick(self) -> None:
-        if not self.futures:
-            # Everything unfinished is backing off; sleep until the
-            # earliest item is ready again.
-            if self.queue:
-                now = time.monotonic()
-                wake = min(self.ready_at[index] for index in self.queue)
-                time.sleep(min(max(wake - now, 0.0), 0.25)
-                           or _POLL_INTERVAL_S)
-            return
-        done, not_done = wait(list(self.futures), timeout=_POLL_INTERVAL_S,
-                              return_when=FIRST_COMPLETED)
-        now = time.monotonic()
-        for future in not_done:
-            if future not in self.started and future.running():
-                self.started[future] = now
-        for future in done:
-            index = self.futures.pop(future)
-            self.started.pop(future, None)
-            try:
-                value = future.result()
-            except BrokenProcessPool:
-                self._handle_pool_break(index)
-                return
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                self._record_failure(index, _describe(exc))
-            else:
-                self.outcomes[index] = TaskOutcome(
-                    value=value, attempts=self.failures[index] + 1)
-        self._check_timeouts(now)
-
-    def _check_timeouts(self, now: float) -> None:
-        timeout = self.config.job_timeout
-        if timeout is None:
-            return
-        expired = [future for future, start in self.started.items()
-                   if future in self.futures and now - start > timeout]
-        if not expired:
-            return
-        for future in expired:
-            index = self.futures.pop(future)
-            self.started.pop(future, None)
-            self._record_failure(
-                index, f"TimeoutError: job exceeded {timeout:.1f}s")
-        # The workers behind the expired futures are wedged; everything
-        # still in flight is resubmitted (uncharged) to a fresh pool.
-        self._requeue_inflight(charge=None)
-        self._shutdown_pool(recycle=True)
-        telemetry.counter("parallel.pool_recycled")
-
-    def _handle_pool_break(self, crashed_index: int) -> None:
-        """A worker died.  Charge the items that were running, respawn."""
-        self._record_failure(crashed_index,
-                             "BrokenProcessPool: worker process died")
-        running = {self.futures[future] for future in list(self.started)
-                   if future in self.futures}
-        self._requeue_inflight(charge=running)
-        self._shutdown_pool(recycle=True)
-        telemetry.counter("parallel.pool_recycled")
-        logger.warning("worker pool died; respawning (%d item(s) resubmitted)",
-                       len(self.queue))
-
-    def _requeue_inflight(self, charge: Optional[set]) -> None:
-        for future, index in list(self.futures.items()):
-            if future.done() and not future.cancelled():
-                # The item finished just as the pool broke/wedged: harvest
-                # its result instead of charging or re-running it.
-                try:
-                    value = future.result()
-                except Exception:  # noqa: BLE001 - fell with the pool
-                    pass
-                else:
-                    self.outcomes[index] = TaskOutcome(
-                        value=value, attempts=self.failures[index] + 1)
-                    continue
-            future.cancel()
-            if charge is not None and index in charge:
-                self._record_failure(
-                    index, "BrokenProcessPool: worker process died")
-            elif self.outcomes[index] is None:
-                self.queue.append(index)
-        self.futures.clear()
-        self.started.clear()
-        self.queue.sort()
-
-    def _record_failure(self, index: int, error: str) -> None:
-        self.failures[index] += 1
-        attempts = self.failures[index]
-        logger.warning("work item %d failed (attempt %d/%d): %s", index,
-                       attempts, self.config.max_retries + 1, error)
-        if attempts > self.config.max_retries:
-            self.outcomes[index] = TaskOutcome(status="quarantined",
-                                               attempts=attempts, error=error)
-        else:
-            self.ready_at[index] = (time.monotonic()
-                                    + self.config.backoff_s(attempts))
-            self.queue.append(index)
-            self.queue.sort()
-
-    def _drain(self) -> None:
-        """Graceful shutdown: finish running work, mark the rest interrupted."""
-        for index in self.queue:
-            if self.outcomes[index] is None:
-                self.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=self.failures[index],
-                    error="shutdown requested")
-        self.queue = []
-        if not self.futures:
-            return
-        grace = self.config.job_timeout or 60.0
-        done, not_done = wait(list(self.futures), timeout=grace)
-        for future in done:
-            index = self.futures[future]
-            try:
-                self.outcomes[index] = TaskOutcome(
-                    value=future.result(), attempts=self.failures[index] + 1)
-            except Exception as exc:  # noqa: BLE001 - drain is best effort
-                self.outcomes[index] = TaskOutcome(
-                    status="interrupted", attempts=self.failures[index] + 1,
-                    error=_describe(exc))
-        for future in not_done:
-            index = self.futures[future]
-            self.outcomes[index] = TaskOutcome(
-                status="interrupted", attempts=self.failures[index],
-                error="shutdown requested while running")
-        self.futures.clear()
-        self.started.clear()
+    config = replace(config or ParallelConfig(), max_retries=0)
+    supervisor = Supervisor(items, config)
+    run_local(supervisor, partial(_without_attempt, fn))
+    outcomes = supervisor.finish()
+    for index, outcome in enumerate(outcomes):
+        if outcome.status == "interrupted":
+            raise KeyboardInterrupt
+        if not outcome.ok:
+            raise supervisor.raised.get(index) or RuntimeError(outcome.error)
+    return [outcome.value for outcome in outcomes]

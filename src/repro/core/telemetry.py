@@ -495,6 +495,7 @@ def summarize(events: Sequence[TelemetryEvent]) -> Dict[str, Any]:
             "requeues": int(counters.get("rpc.requeued", 0.0)),
             "heartbeat_timeouts":
                 int(counters.get("rpc.heartbeat_timeout", 0.0)),
+            "job_timeouts": int(counters.get("rpc.job_timeout", 0.0)),
             "local_fallbacks": int(counters.get("rpc.fallback_local", 0.0)),
             "rejects": int(counters.get("rpc.reject", 0.0)),
         },
@@ -582,6 +583,7 @@ def render_report(events: Sequence[TelemetryEvent], top: int = 8) -> str:
                      f"({distributed['results_fenced']} fenced), "
                      f"{distributed['requeues']} requeue(s), "
                      f"{distributed['heartbeat_timeouts']} heartbeat "
+                     f"timeout(s), {distributed['job_timeouts']} job "
                      f"timeout(s), {distributed['local_fallbacks']} local "
                      f"fallback(s)")
 

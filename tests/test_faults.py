@@ -39,6 +39,7 @@ from repro.core import (
     FaultRule,
     InjectedFault,
     ParallelConfig,
+    RemoteExecutor,
     ResultStore,
     TaskOutcome,
     inject,
@@ -368,14 +369,14 @@ class TestStoreSafety:
 # --------------------------------------------------------------------------- #
 # The recovery matrix: fault × execution shape, bit-identical to fault-free
 # --------------------------------------------------------------------------- #
-def _fault_case(site: str, workers: int):
+def _fault_case(site: str, workers):
     """(plan, extra ParallelConfig kwargs, store lease_timeout) per case."""
     if site == "exception":
         return FaultPlan(rules=(FaultRule("job.exception", times=1),)), {}, 30.0
     if site == "crash":
         return FaultPlan(rules=(FaultRule("job.crash", times=1),)), {}, 30.0
     if site == "timeout":
-        if workers > 1:
+        if workers != 1:
             return (FaultPlan(rules=(FaultRule("job.timeout", times=1,
                                                delay_s=4.0),)),
                     {"job_timeout": 1.0}, 30.0)
@@ -413,20 +414,31 @@ class TestRecoveryMatrix:
             "store": _store_snapshot(root),
         }
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("site", ["exception", "crash", "timeout",
-                                      "torn_write", "lease_steal",
-                                      "lease_wait"])
+    @pytest.mark.parametrize("site,workers", [
+        (site, workers) for workers in (1, 2)
+        for site in ("exception", "crash", "timeout", "torn_write",
+                     "lease_steal", "lease_wait")
+    ] + [(site, "remote") for site in ("exception", "crash", "timeout")])
     def test_recovered_campaign_is_bit_identical(self, reference, tmp_path,
                                                  site, workers):
         plan, extra, lease_timeout = _fault_case(site, workers)
         store = ResultStore(str(tmp_path), lease_timeout=lease_timeout)
-        config = ParallelConfig(max_workers=workers, max_retries=3,
-                                backoff_base_s=0.01, **extra)
-        scheduler = CampaignScheduler(config, store=store)
+        config = ParallelConfig(max_workers=1 if workers == 1 else 2,
+                                max_retries=3, backoff_base_s=0.01, **extra)
+        executor = RemoteExecutor() if workers == "remote" else None
+        scheduler = CampaignScheduler(config, store=store, executor=executor)
         jobs = _campaign_jobs(reference["trainer"], reference["design"])
-        with inject(plan):
-            results = scheduler.run(jobs)
+        try:
+            if executor is not None:  # two `repro worker` subprocesses
+                executor.launch_workers(2)
+                assert executor.wait_for_workers(2, timeout=60.0)
+            with inject(plan):
+                results = scheduler.run(jobs)
+            # Read before close(): shutdown disconnects count as lost too.
+            lost = executor.workers_lost if executor is not None else 0
+        finally:
+            if executor is not None:
+                executor.close()
 
         assert all(result.ok for result in results)
         assert scheduler.failures == []
@@ -437,6 +449,12 @@ class TestRecoveryMatrix:
             assert all(result.attempts == 2 for result in results)
         if site == "torn_write":
             assert store.torn_writes > 0
+        if workers == "remote" and site == "crash":
+            assert lost >= 1
+        if workers == "remote" and site == "timeout":
+            # Every first attempt outlived job_timeout: revoked and charged.
+            assert executor.last_stats["job_timeouts"] >= 1
+            assert all(result.attempts >= 2 for result in results)
         if site == "lease_steal":
             assert store.lease_stolen > 0
         if site == "lease_wait":
