@@ -1,11 +1,10 @@
 # Convenience targets for the Nada reproduction.
 #
-#   make smoke          - quick regression gate: fast tests + the bench-regression
-#                         gate (engine A/B and the compiled-generated-design
-#                         check, compared against the committed BENCH_*.json
-#                         baselines with a tolerance)
+#   make smoke          - quick gate: fast tests, then `make bench`
 #   make test           - the full tier-1 suite (tests + benchmark regenerations)
-#   make bench          - the evaluation-engine benchmark, refreshing BENCH_baseline.json
+#   make bench          - one short traced run of each perfbench workload
+#                         (protocol, serve, campaign); fails if a workload's
+#                         correctness checks fail or a traced call site is gone
 #   make lint           - static analysis gate: the repo contract linter over
 #                         src/repro plus the design auditor's self-check corpus
 #                         (equivalent to `repro lint --self`); fails on any
@@ -29,11 +28,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: smoke test lint bench bench-generated campaign-smoke chaos-smoke serve-smoke dist-smoke
+.PHONY: smoke test lint bench campaign-smoke chaos-smoke serve-smoke dist-smoke
 
 smoke:
 	$(PYTHON) -m pytest -q -m "not slow"
-	$(PYTHON) benchmarks/bench_regression.py
+	$(MAKE) bench
 
 lint:
 	$(PYTHON) -m repro lint --self
@@ -42,10 +41,9 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 bench:
-	$(PYTHON) benchmarks/bench_scales.py --json benchmarks/BENCH_baseline.json
-
-bench-generated:
-	$(PYTHON) benchmarks/bench_scales.py --mode generated --json benchmarks/BENCH_generated.json
+	for workload in protocol serve campaign; do \
+	    $(PYTHON) perfbench/run.py --workload $$workload --seed 0 --seconds 1 --trace 1 || exit 1; \
+	done
 
 # Tiny end-to-end pass over the multi-environment scenarios: both examples at
 # smoke scale, then a two-environment CLI campaign exercising the scheduler

@@ -62,11 +62,6 @@ class SimulatorConfig:
     #: Multiplicative noise applied to each chunk's effective bandwidth,
     #: modelling cross traffic the trace does not capture (0 disables it).
     bandwidth_noise_std: float = 0.0
-    #: How chunk downloads are resolved against the trace: "prefix_sum"
-    #: (default) binary-searches precomputed capacity prefix sums in
-    #: O(log n); "segment_walk" replays the original per-segment loop.  The
-    #: two agree to float round-off (see the equivalence tests).
-    download_engine: str = "prefix_sum"
 
 
 @dataclass
@@ -178,20 +173,6 @@ class ChunkLevelSimulator:
         )
 
     # ------------------------------------------------------------------ #
-    def _download(self, chunk_bytes: float, noise: float) -> float:
-        """Resolve the transfer of ``chunk_bytes`` against the trace.
-
-        Dispatches on ``config.download_engine``: the prefix-sum engine is the
-        O(log n) fast path, the segment walk is the loop-based reference
-        implementation the equivalence tests compare against.
-        """
-        engine = self.config.download_engine
-        if engine == "prefix_sum":
-            return self._download_prefix_sum(chunk_bytes, noise)
-        if engine == "segment_walk":
-            return self._download_segment_walk(chunk_bytes, noise)
-        raise ValueError(f"unknown download engine {engine!r}")
-
     def _required_rate_seconds(self, chunk_bytes: float, noise: float) -> float:
         """Convert a chunk size to required Mbit of (floored) link capacity.
 
@@ -202,8 +183,13 @@ class ChunkLevelSimulator:
         bytes_per_rate_second = 1e6 / 8.0 * self.config.payload_fraction
         return chunk_bytes / bytes_per_rate_second
 
-    def _download_prefix_sum(self, chunk_bytes: float, noise: float) -> float:
-        """Resolve a download via binary search on capacity prefix sums."""
+    def _download(self, chunk_bytes: float, noise: float) -> float:
+        """Resolve the transfer of ``chunk_bytes`` against the trace.
+
+        Binary-searches the trace's cached capacity prefix sums in O(log n).
+        :meth:`_download_segment_walk` is the loop-based reference the
+        equivalence tests compare against; the two agree to float round-off.
+        """
         trace = self.trace
         times = trace.timestamps_s
         duration = trace.duration_s

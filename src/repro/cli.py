@@ -304,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "forward; 0 disables batching across sessions")
     serve.add_argument("--max-batch", type=int, default=4096,
                        help="upper bound on decisions per batched tick")
-    serve.add_argument("--delivery-engine", choices=["prefix", "bisect"],
-                       default="prefix",
-                       help="link schedule inversion: analytic prefix lookup "
-                            "(fast default) or binary search (reference)")
     serve.add_argument("--stochastic", action="store_true",
                        help="sample actions from the policy distribution "
                             "instead of greedy argmax")
@@ -629,11 +625,10 @@ def _command_baselines(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    import dataclasses
     import json as json_module
 
     from .core.evaluation import instantiate_agent
-    from .emulation import EmulationConfig, Fleet, FleetConfig, LinkConfig
+    from .emulation import Fleet, FleetConfig
 
     if args.sessions < 1:
         logger.error("--sessions must be at least 1")
@@ -647,9 +642,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                             seed=args.seed)
     agent = instantiate_agent(None, None, video, test, seed=args.seed)
     config = FleetConfig(
-        emulation=EmulationConfig(
-            link=dataclasses.replace(LinkConfig(),
-                                     delivery_engine=args.delivery_engine)),
         arrival_process=args.arrival,
         arrival_rate_per_s=args.arrival_rate,
         batch_window_s=args.batch_window,
@@ -657,9 +649,9 @@ def _command_serve(args: argparse.Namespace) -> int:
     )
     fleet = Fleet(video, list(test), config=config)
     logger.info("serving %d sessions over %d %s traces "
-                "(arrival=%s, batch window=%.3fs, engine=%s)",
+                "(arrival=%s, batch window=%.3fs)",
                 args.sessions, len(test), spec.display_name, args.arrival,
-                args.batch_window, args.delivery_engine)
+                args.batch_window)
     result = fleet.run(agent, args.sessions, greedy=not args.stochastic,
                        sample_seed=args.sample_seed)
     metrics = result.metrics
@@ -667,7 +659,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         "environment": args.environment,
         "traces": len(test),
         "arrival_process": args.arrival,
-        "delivery_engine": args.delivery_engine,
         "greedy": not args.stochastic,
         "mean_qoe_per_chunk": result.mean_reward,
         "metrics": metrics.to_dict(),

@@ -63,9 +63,6 @@ class EvaluationConfig:
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
     #: Evaluate checkpoints greedily (argmax policy) as Pensieve does.
     greedy_evaluation: bool = True
-    #: Step all test traces in lockstep with one batched policy forward per
-    #: chunk during checkpoint evaluation (greedy, noise-free only).
-    batched_evaluation: bool = True
     #: Train all seeds of a design simultaneously with stacked per-seed
     #: weights and batched fused updates (the multi-seed lockstep engine).
     #: The campaign scheduler runs one design's whole seed batch inside one
@@ -203,8 +200,7 @@ class DesignTrainer:
                                        qoe=self.qoe,
                                        simulator_config=cfg.simulator,
                                        greedy=cfg.greedy_evaluation,
-                                       seed=seed,
-                                       batched=cfg.batched_evaluation)
+                                       seed=seed)
                 checkpoint_epochs.append(epoch)
                 checkpoint_scores.append(score)
                 for name, value in trainer.checkpoint_metrics().items():
@@ -291,8 +287,7 @@ class DesignTrainer:
             trainer.train_epoch()
             if epoch % cfg.checkpoint_interval == 0:
                 scores = trainer.evaluate_checkpoint(
-                    self.test_traces, greedy=cfg.greedy_evaluation,
-                    batched=cfg.batched_evaluation)
+                    self.test_traces, greedy=cfg.greedy_evaluation)
                 checkpoint_epochs.append(epoch)
                 for per_seed, score in zip(checkpoint_scores, scores):
                     per_seed.append(score)

@@ -19,10 +19,10 @@ Key schema (one JSON file per record)::
   simulator configs), the video (bitrate ladder, chunk sizes, chunk
   duration) and the exact train/test trace arrays, and the QoE metric's
   class and parameters.  Changing any of these invalidates the cache.
-  Engine toggles that are proven bit-identical by the equivalence tests
-  (``lockstep_training``, ``batched_evaluation``) are deliberately
-  *excluded*, so a campaign recorded under one execution engine can be
-  replayed under any other — as are ``num_seeds`` and
+  The engine toggle that is proven bit-identical by the equivalence tests
+  (``lockstep_training``) is deliberately *excluded*, so a campaign
+  recorded under one execution engine can be replayed under the other — as
+  are ``num_seeds`` and
   ``last_k_checkpoints``, which shape seed-list defaults and score
   aggregation but never a stored per-seed run.
 * **design fingerprint** — sha256 over each component's kind and source code
@@ -92,18 +92,19 @@ logger = get_logger("results")
 
 #: Version prefix mixed into every key; bump when the record layout changes.
 #: v2: the kernel-compiler toggle and numerics mode joined the context.
-_SCHEMA_VERSION = "v2"
+#: v3: the simulator's download-engine selector left the hashed config.
+_SCHEMA_VERSION = "v3"
 
-#: EvaluationConfig fields excluded from the key.  ``lockstep_training`` and
-#: ``batched_evaluation`` are pure execution-engine choices whose outputs are
-#: pinned bit-identical by the equivalence tests; ``num_seeds`` and
+#: EvaluationConfig fields excluded from the key.  ``lockstep_training`` is
+#: a pure execution-engine choice whose outputs are pinned bit-identical by
+#: the equivalence tests; ``num_seeds`` and
 #: ``last_k_checkpoints`` only shape seed-list defaults and score
 #: *aggregation*, never the per-seed training run a record stores — excluding
 #: them lets a shorter protocol over the same design hit the records a longer
 #: one wrote (the scheduler re-stamps ``last_k_checkpoints`` from the
 #: requesting config on load).
-_NON_RESULT_FIELDS = frozenset({"lockstep_training", "batched_evaluation",
-                                "num_seeds", "last_k_checkpoints"})
+_NON_RESULT_FIELDS = frozenset({"lockstep_training", "num_seeds",
+                                "last_k_checkpoints"})
 
 
 def _sha256(parts: Iterable[bytes]) -> str:

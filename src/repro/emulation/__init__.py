@@ -26,12 +26,12 @@ from .fleet import (
     session_rng,
 )
 from .http import HTTPClient, HTTPConfig, HTTPResponse
-from .link import DELIVERY_ENGINES, MTU_BYTES, LinkConfig, PacketDeliveryLink
+from .link import MTU_BYTES, LinkConfig, PacketDeliveryLink
 from .player import DashPlayer, PlayerConfig, PlayerEvent
 from .tcp import TCPConfig, TCPConnection, TransferResult
 
 __all__ = [
-    "LinkConfig", "PacketDeliveryLink", "MTU_BYTES", "DELIVERY_ENGINES",
+    "LinkConfig", "PacketDeliveryLink", "MTU_BYTES",
     "TCPConfig", "TCPConnection", "TransferResult",
     "HTTPConfig", "HTTPClient", "HTTPResponse",
     "PlayerConfig", "DashPlayer", "PlayerEvent",

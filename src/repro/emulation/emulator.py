@@ -38,8 +38,9 @@ __all__ = [
 Policy = Callable[[Observation], int]
 
 #: Schema tag for emulation payload records; bump when the payload layout or
-#: any key-material convention below changes.
-_EMULATION_SCHEMA = "emu-v1"
+#: any key-material convention below changes.  emu-v2: the link's
+#: delivery-engine selector left the hashed ``LinkConfig``.
+_EMULATION_SCHEMA = "emu-v2"
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,8 @@ def emulation_context_fingerprint(video: Video, qoe: Optional[QoEMetric] = None,
     The emulation analogue of :func:`repro.core.results.context_fingerprint`:
     covers the environment label, the engine toggles that are only
     round-off-equivalent (dtype, folded inference, kernel compilation and its
-    numerics mode), the full :class:`EmulationConfig` — including
-    ``link.delivery_engine``, whose prefix/bisect inversions agree to ~1e-14
-    but **not** bitwise — the video and the QoE metric.
+    numerics mode), the full :class:`EmulationConfig`, the video and the QoE
+    metric.
 
     Deliberately excluded: every :class:`~repro.emulation.fleet.FleetConfig`
     field (arrival process/rate/seed, batch window, max batch).  Those are

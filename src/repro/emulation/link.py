@@ -8,23 +8,17 @@ delivery-opportunity schedule and exposes the primitive the TCP model needs:
 inverse, "at what time will ``n`` bytes have been delivered if transmission
 starts at ``t0``".
 
-The inverse comes in two engines, mirroring the simulator's
-``download_engine`` pair (``prefix_sum`` fast path / ``segment_walk``
-reference):
-
-* ``"prefix"`` (default) — analytic inversion of the cumulative
-  delivery-opportunity prefix (the same prefix-lookup idiom as
-  :meth:`repro.traces.base.Trace.capacity_prefix`): one ``searchsorted``
-  over the per-window cumulative packet counts finds the delivery window,
-  a division finds the position inside it.  O(log windows) per call.
-* ``"bisect"`` — the original cycle-doubling + 64-iteration binary search
-  over :meth:`PacketDeliveryLink._packets_before`, kept as the tested
-  reference.  O(64 · log windows) per call; this was ~80% of serial
-  emulation runtime.
-
-The two engines agree to floating-point inversion accuracy but are not
-bit-identical, so ``delivery_engine`` is part of the emulation result-store
-key (see :func:`repro.emulation.emulator.emulation_context_fingerprint`).
+The inverse is an analytic inversion of the cumulative delivery-opportunity
+prefix (the same prefix-lookup idiom as
+:meth:`repro.traces.base.Trace.capacity_prefix`): one ``searchsorted`` over
+the per-window cumulative packet counts finds the delivery window, a
+division finds the position inside it.  O(log windows) per call.  The
+original cycle-doubling + 64-iteration binary search over
+:meth:`PacketDeliveryLink._packets_before` (O(64 · log windows) per call;
+it was ~80% of serial emulation runtime) survives as
+:meth:`PacketDeliveryLink._invert_bisect`: the prefix engine's fallback and
+the reference the tests compare it against, to floating-point inversion
+accuracy.
 
 Delivery schedules are deterministic functions of ``(trace, granularity)``;
 they are cached per trace in a weak-keyed module cache so a fleet of
@@ -43,13 +37,10 @@ import numpy as np
 
 from ..traces.base import Trace
 
-__all__ = ["LinkConfig", "PacketDeliveryLink", "DELIVERY_ENGINES"]
+__all__ = ["LinkConfig", "PacketDeliveryLink"]
 
 MTU_BYTES = 1500
 BITS_PER_BYTE = 8
-
-#: Supported values for :attr:`LinkConfig.delivery_engine`.
-DELIVERY_ENGINES = ("prefix", "bisect")
 
 
 @dataclass(frozen=True)
@@ -62,12 +53,6 @@ class LinkConfig:
     granularity_ms: int = 100
     #: Random per-packet jitter applied to delivery times (std dev, seconds).
     jitter_std_s: float = 0.0
-    #: How :meth:`PacketDeliveryLink.time_to_deliver` inverts the delivery
-    #: schedule: ``"prefix"`` (analytic prefix lookup, fast default) or
-    #: ``"bisect"`` (binary search, the tested reference).  The engines agree
-    #: to inversion accuracy but not bitwise, so this field is keyed into the
-    #: emulation result store.
-    delivery_engine: str = "prefix"
 
     @property
     def rtt_s(self) -> float:
@@ -140,10 +125,6 @@ class PacketDeliveryLink:
     def __init__(self, trace: Trace, config: Optional[LinkConfig] = None) -> None:
         self.trace = trace
         self.config = config or LinkConfig()
-        if self.config.delivery_engine not in DELIVERY_ENGINES:
-            raise ValueError(
-                f"unknown delivery engine {self.config.delivery_engine!r}; "
-                f"expected one of {DELIVERY_ENGINES}")
         (self._packets_per_window, self._cumulative, self._granularity_s,
          self._cycle_s, self._cycle_packets, self._pw_list,
          self._cum_list) = _delivery_schedule(trace, self.config.granularity_ms)
@@ -197,12 +178,7 @@ class PacketDeliveryLink:
         if self._cycle_packets == 0:
             raise RuntimeError("link trace has zero capacity; nothing can be delivered")
         target = self._packets_before(start_s) + packets_needed
-
-        if self.config.delivery_engine == "bisect":
-            link_limited_end = self._invert_bisect(start_s, target)
-        else:
-            link_limited_end = self._invert_prefix(target)
-
+        link_limited_end = self._invert_prefix(target)
         if rate_cap_bytes_per_s is not None and rate_cap_bytes_per_s > 0:
             sender_limited_end = start_s + num_bytes / rate_cap_bytes_per_s
             return max(link_limited_end, sender_limited_end)

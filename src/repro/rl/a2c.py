@@ -629,8 +629,8 @@ class MultiSeedA2CTrainer:
         return stats
 
     # ------------------------------------------------------------------ #
-    def evaluate_checkpoint(self, traces: TraceSet, greedy: bool = True,
-                            batched: bool = True) -> List[float]:
+    def evaluate_checkpoint(self, traces: TraceSet,
+                            greedy: bool = True) -> List[float]:
         """Per-seed test scores, matching ``evaluate_agent`` seed for seed.
 
         When the batched greedy path applies, all ``seeds x traces`` sessions
@@ -641,7 +641,7 @@ class MultiSeedA2CTrainer:
         """
         noise_free = (self.simulator_config is None
                       or self.simulator_config.bandwidth_noise_std == 0)
-        if batched and greedy and noise_free and len(traces) > 1:
+        if greedy and noise_free and len(traces) > 1:
             scores = []
             buffer = np.empty((len(traces),) + self.stack.state_shape)
             for index, agent in enumerate(self.agents):
@@ -664,5 +664,5 @@ class MultiSeedA2CTrainer:
             return scores
         return [evaluate_agent(agent, self.video, traces, qoe=self.qoe,
                                simulator_config=self.simulator_config,
-                               greedy=greedy, seed=seed, batched=batched)
+                               greedy=greedy, seed=seed)
                 for agent, seed in zip(self.agents, self.seeds)]

@@ -297,7 +297,7 @@ def test_compile_cache_not_pickled(env_setup):
 # --------------------------------------------------------------------------- #
 # Dropout / LayerNorm semantics (satellite).
 # --------------------------------------------------------------------------- #
-def test_dropout_layernorm_eval_mode_preserved_under_batched_evaluation():
+def test_dropout_layernorm_eval_mode_preserved_under_batched_inference():
     module = nn.Sequential(
         nn.Dense(8, 16, activation="relu", rng=np.random.default_rng(0)),
         nn.LayerNorm(16),

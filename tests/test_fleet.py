@@ -64,26 +64,25 @@ def agent(serve_video, trace_mix):
 class TestDeliveryEngines:
     def test_prefix_and_bisect_agree_to_inversion_accuracy(self, trace_mix):
         for trace in trace_mix:
-            fast = PacketDeliveryLink(trace, LinkConfig(delivery_engine="prefix"))
-            reference = PacketDeliveryLink(trace, LinkConfig(delivery_engine="bisect"))
+            link = PacketDeliveryLink(trace)
             rng = np.random.default_rng(3)
             for _ in range(40):
                 start = float(rng.uniform(0.0, 300.0))
-                num_bytes = float(rng.uniform(1e3, 2e6))
-                cap = (None if rng.random() < 0.5
-                       else float(rng.uniform(1e4, 1e6)))
-                a = fast.time_to_deliver(start, num_bytes, rate_cap_bytes_per_s=cap)
-                b = reference.time_to_deliver(start, num_bytes, rate_cap_bytes_per_s=cap)
-                assert a == pytest.approx(b, abs=1e-9)
+                target = link._packets_before(start) + int(rng.integers(1, 1400))
+                assert link._invert_prefix(target) == pytest.approx(
+                    link._invert_bisect(start, target), abs=1e-9)
 
-    def test_unknown_engine_rejected(self, trace_mix):
-        with pytest.raises(ValueError):
-            PacketDeliveryLink(trace_mix[0], LinkConfig(delivery_engine="walk"))
+    def test_zero_capacity_trace_rejected(self):
+        trace = Trace([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], name="dead")
+        link = PacketDeliveryLink(trace)
+        assert link.time_to_deliver(3.0, 0.0) == 3.0
+        with pytest.raises(RuntimeError, match="zero capacity"):
+            link.time_to_deliver(0.0, 1e4)
 
     def test_schedule_cache_shared_between_links(self, trace_mix):
         trace = trace_mix[0]
-        first = PacketDeliveryLink(trace, LinkConfig(delivery_engine="prefix"))
-        second = PacketDeliveryLink(trace, LinkConfig(delivery_engine="bisect"))
+        first = PacketDeliveryLink(trace)
+        second = PacketDeliveryLink(trace)
         assert first._cumulative is second._cumulative
         assert trace in _SCHEDULE_CACHE
 
@@ -304,14 +303,17 @@ class TestEmulationStore:
         assert store.puts == 0
         assert policy_fingerprint(BufferBasedPolicy()) is None
 
-    def test_delivery_engine_is_key_material(self, serve_video):
-        prefix = emulation_context_fingerprint(
+    def test_link_config_is_key_material(self, serve_video):
+        default = emulation_context_fingerprint(serve_video)
+        coarse = emulation_context_fingerprint(
             serve_video, config=EmulationConfig(
-                link=LinkConfig(delivery_engine="prefix")))
-        bisect = emulation_context_fingerprint(
+                link=LinkConfig(granularity_ms=500)))
+        jittered = emulation_context_fingerprint(
             serve_video, config=EmulationConfig(
-                link=LinkConfig(delivery_engine="bisect")))
-        assert prefix != bisect
+                link=LinkConfig(jitter_std_s=0.01)))
+        assert len({default, coarse, jittered}) == 3
+        assert default == emulation_context_fingerprint(
+            serve_video, config=EmulationConfig(link=LinkConfig()))
 
     def test_key_depends_on_weights_and_discipline(self, serve_video,
                                                    trace_mix, agent):

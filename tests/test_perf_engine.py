@@ -9,10 +9,15 @@ Covers the two layers of the vectorized/parallel evaluation engine:
 * the fused analytic A2C update == the autograd update;
 * vectorized discounted returns == the scalar recurrence;
 * the dtype knob, the exact download-termination bound, and the
-  ``TrainingRun.final_score`` last-k semantics.
+  ``TrainingRun.final_score`` last-k semantics;
+* the sampling, RMSProp and Conv1D kernels == their plain reference forms;
+* the protocol run under every reference engine == under the shipped
+  engines, seed for seed.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from repro.core.evaluation import DesignTrainer, TestScoreProtocol, TrainingRun
 from repro.core.parallel import ParallelConfig, effective_workers, parallel_map
 from repro.rl.a2c import A2CTrainer, evaluate_agent, evaluate_agent_batched
 from repro.rl.agent import ABRAgent
+from repro.rl.policy import sample_action
 from repro.rl.rollout import discounted_returns
 from repro.traces.base import Trace, TraceSet
 
@@ -52,10 +58,8 @@ class TestDownloadEngineEquivalence:
         video = synthetic_video("standard", num_chunks=8, seed=3)
         for index in range(25):
             trace = _random_trace(rng, index)
-            fast = ChunkLevelSimulator(
-                video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-            slow = ChunkLevelSimulator(
-                video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+            fast = ChunkLevelSimulator(video, trace)
+            slow = ChunkLevelSimulator(video, trace)
             for _ in range(12):
                 offset = float(rng.uniform(0, trace.duration_s))
                 noise = float(rng.uniform(0.3, 1.7)) if index % 4 == 0 else 1.0
@@ -63,7 +67,7 @@ class TestDownloadEngineEquivalence:
                 fast.reset(start_offset_s=offset)
                 slow.reset(start_offset_s=offset)
                 time_fast = fast._download(chunk_bytes, noise)
-                time_slow = slow._download(chunk_bytes, noise)
+                time_slow = slow._download_segment_walk(chunk_bytes, noise)
                 assert time_fast == pytest.approx(time_slow, rel=1e-9), (
                     trace.name, offset, noise, chunk_bytes)
 
@@ -71,35 +75,31 @@ class TestDownloadEngineEquivalence:
         """A chunk larger than one replay cycle wraps and still agrees."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 5.0, 10.0], [0.001, 0.0, 0.002], name="dead-link")
-        fast = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-        slow = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+        fast = ChunkLevelSimulator(video, trace)
+        slow = ChunkLevelSimulator(video, trace)
         fast.reset(start_offset_s=2.0)
         slow.reset(start_offset_s=2.0)
         assert fast._download(1e4, 1.0) == pytest.approx(
-            slow._download(1e4, 1.0), rel=1e-9)
+            slow._download_segment_walk(1e4, 1.0), rel=1e-9)
 
     def test_flat_trace_closed_form(self):
         """On a constant link the prefix engine is exactly bytes/rate."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         timestamps = np.arange(0.0, 100.0, 1.0)
         trace = Trace(timestamps, np.full_like(timestamps, 4.0), name="flat")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
+        sim = ChunkLevelSimulator(video, trace)
         chunk_bytes = 1e6
         expected = chunk_bytes / (4.0 * 1e6 / 8.0 * sim.config.payload_fraction)
         assert sim._download(chunk_bytes, 1.0) == pytest.approx(expected, rel=1e-12)
 
-    def test_full_episode_equivalence(self):
+    def test_full_episode_equivalence(self, monkeypatch):
         """Stepping whole sessions in lockstep (states re-synced) agrees."""
         rng = np.random.default_rng(7)
         video = synthetic_video("standard", num_chunks=10, seed=2)
         trace = _random_trace(rng, 1)
-        fast = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-        slow = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+        fast = ChunkLevelSimulator(video, trace)
+        slow = ChunkLevelSimulator(video, trace)
+        monkeypatch.setattr(slow, "_download", slow._download_segment_walk)
         for chunk in range(video.num_chunks):
             bitrate = int(rng.integers(0, video.num_bitrates))
             result_fast = fast.step(bitrate)
@@ -112,14 +112,6 @@ class TestDownloadEngineEquivalence:
             slow._time_in_trace_s = fast._time_in_trace_s
             slow._buffer_s = fast._buffer_s
 
-    def test_unknown_engine_rejected(self):
-        video = synthetic_video("standard", num_chunks=4, seed=0)
-        trace = Trace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="bogus"))
-        with pytest.raises(ValueError, match="bogus"):
-            sim.step(0)
-
 
 class TestDownloadTerminationBound:
     def test_error_names_trace_when_walk_cannot_finish(self, monkeypatch):
@@ -127,34 +119,29 @@ class TestDownloadTerminationBound:
         descriptive error naming the trace."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], name="stuck-trace")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+        sim = ChunkLevelSimulator(video, trace)
         monkeypatch.setattr(
             ChunkLevelSimulator, "_segment_view", lambda self: (1.0, 1e-12))
         with pytest.raises(RuntimeError, match="stuck-trace"):
-            sim._download(1e6, 1.0)
+            sim._download_segment_walk(1e6, 1.0)
 
     def test_bound_is_generous_for_legitimate_downloads(self):
         """Normal downloads never trip the bound, even multi-cycle ones."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 1.0, 2.0], [0.05, 0.05, 0.05], name="slow")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
-        assert sim._download(5e5, 1.0) > 0
+        sim = ChunkLevelSimulator(video, trace)
+        assert sim._download_segment_walk(5e5, 1.0) > 0
 
     def test_dead_link_fails_fast_instead_of_walking(self):
         """An effectively dead link raises immediately (naming the trace)
         rather than spending minutes walking tens of millions of segments."""
         video = synthetic_video("standard", num_chunks=4, seed=0)
         trace = Trace([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], name="all-zero")
-        sim = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="segment_walk"))
+        sim = ChunkLevelSimulator(video, trace)
         with pytest.raises(RuntimeError, match="all-zero"):
-            sim._download(5e6, 1.0)
+            sim._download_segment_walk(5e6, 1.0)
         # The prefix-sum engine resolves the same download in closed form.
-        fast = ChunkLevelSimulator(
-            video, trace, config=SimulatorConfig(download_engine="prefix_sum"))
-        assert np.isfinite(fast._download(5e6, 1.0))
+        assert np.isfinite(sim._download(5e6, 1.0))
 
     def test_capacity_prefix_cache_is_bounded(self):
         """Per-download noise floors must not grow the trace cache unboundedly."""
@@ -163,8 +150,7 @@ class TestDownloadTerminationBound:
         trace = Trace(timestamps, np.full_like(timestamps, 3.0), name="noisy")
         sim = ChunkLevelSimulator(
             video, trace,
-            config=SimulatorConfig(bandwidth_noise_std=0.3,
-                                   download_engine="prefix_sum"),
+            config=SimulatorConfig(bandwidth_noise_std=0.3),
             rng=np.random.default_rng(0))
         for _ in range(50):
             sim.reset(start_offset_s=0.0)
@@ -451,3 +437,153 @@ class TestFinalScoreLastK:
         run = trainer.run(None, None, seed=0)
         assert run.last_k_checkpoints == 1
         assert run.final_score == pytest.approx(run.checkpoint_scores[-1])
+
+
+def _reference_sample_action(probabilities, rng):
+    """Categorical draw through ``rng.choice``, clipping negative entries and
+    falling back to uniform on a degenerate vector like ``sample_action``."""
+    probs = np.clip(np.asarray(probabilities, dtype=np.float64).ravel(), 0.0, None)
+    total = probs.sum()
+    if not np.isfinite(total) or total <= 0:
+        probs = np.full(len(probs), 1.0 / len(probs))
+    else:
+        probs = probs / total
+    return int(rng.choice(len(probs), p=probs))
+
+
+def _reference_rmsprop_step(self):
+    """RMSProp update written out with a fresh temporary per operation."""
+    for p, square_avg in zip(self.parameters, self._square_avg):
+        if p.grad is None:
+            continue
+        square_avg *= self.decay
+        square_avg += (1.0 - self.decay) * p.grad ** 2
+        p.data = p.data - self.lr * p.grad / (np.sqrt(square_avg) + self.eps)
+        p.version = getattr(p, "version", 0) + 1
+
+
+def _reference_conv1d_forward(self, x):
+    """Conv1D as one graph node per output position, stacked and multiplied
+    by the flattened kernel."""
+    if x.ndim == 2:
+        x = x.reshape(x.shape[0], 1, x.shape[1])
+    batch, channels, length = x.shape
+    kernel = self.kernel_size
+    columns = [x[:, :, start:start + kernel].reshape(batch, channels * kernel)
+               for start in range(0, length - kernel + 1, self.stride)]
+    stacked = nn.stack(columns, axis=1)
+    flat_weight = nn.Tensor(self.weight.data.reshape(self.out_channels,
+                                                     channels * kernel))
+    flat_weight.requires_grad = self.weight.requires_grad
+    weight_param = self.weight
+
+    def weight_backward(grad):
+        weight_param._accumulate(grad.reshape(weight_param.data.shape))
+
+    flat_weight._parents = (weight_param,)
+    flat_weight._backward = weight_backward
+    out = stacked.matmul(flat_weight.transpose()).transpose(0, 2, 1)
+    if self.bias is not None:
+        out = out + self.bias.reshape(1, self.out_channels, 1)
+    return self.activation(out)
+
+
+class TestReferenceKernels:
+    """The shipped hot-path kernels against their plain reference forms."""
+
+    def test_sample_action_matches_rng_choice_draw_for_draw(self):
+        rng = np.random.default_rng(11)
+        vectors = [rng.dirichlet(np.ones(6)) for _ in range(300)]
+        vectors += [rng.uniform(-0.1, 1.0, size=6) for _ in range(100)]
+        vectors += [np.zeros(6), np.full(6, -1.0), np.array([0, 0, 1.0, 0, 0, 0])]
+        shipped_rng = np.random.default_rng(5)
+        reference_rng = np.random.default_rng(5)
+        for probs in vectors:
+            assert (sample_action(probs, shipped_rng)
+                    == _reference_sample_action(probs, reference_rng))
+
+    def test_fused_rmsprop_matches_reference_update(self):
+        rng = np.random.default_rng(2)
+        shipped = [nn.Parameter(rng.normal(size=(4, 5))),
+                   nn.Parameter(rng.normal(size=7))]
+        reference = [nn.Parameter(p.data.copy()) for p in shipped]
+        fused = nn.RMSProp(shipped, lr=0.01)
+        plain = nn.RMSProp(reference, lr=0.01)
+        for _ in range(5):
+            for a, b in zip(shipped, reference):
+                a.grad = rng.normal(size=a.data.shape)
+                b.grad = a.grad.copy()
+            fused.step()
+            _reference_rmsprop_step(plain)
+            for a, b in zip(shipped, reference):
+                np.testing.assert_allclose(a.data, b.data, rtol=1e-12, atol=1e-15)
+
+    def test_im2col_conv1d_matches_per_position_reference(self):
+        rng = np.random.default_rng(4)
+        for in_channels, kernel, stride, length in [(1, 3, 1, 8), (3, 4, 1, 8),
+                                                    (2, 2, 2, 9)]:
+            conv = nn.Conv1D(in_channels, 5, kernel, activation="relu",
+                             stride=stride, rng=rng)
+            signal = rng.normal(size=(3, in_channels, length))
+            outputs, grads = [], []
+            for forward in (type(conv).forward, _reference_conv1d_forward):
+                conv.zero_grad()
+                x = nn.tensor(signal, requires_grad=True)
+                out = forward(conv, x)
+                (out * out).sum().backward()
+                outputs.append(out.numpy())
+                grads.append((x.grad, conv.weight.grad.copy(),
+                              conv.bias.grad.copy()))
+            np.testing.assert_allclose(outputs[0], outputs[1], atol=1e-12)
+            for shipped, reference in zip(*grads):
+                np.testing.assert_allclose(shipped, reference, atol=1e-12)
+
+
+class TestReferenceEngineScore:
+    """The §3.1 protocol run of the original design does not depend on the
+    evaluation engine: under the loop-based reference engines and kernels it
+    gives the same per-seed checkpoint scores, training rewards and final
+    score as under the shipped fast engines."""
+
+    #: Small protocol on fcc: 2 seeds, 16 epochs, 2 averaged checkpoints.
+    SCALE = ExperimentScale(train_epochs=16, checkpoint_interval=8,
+                            last_k_checkpoints=2, num_seeds=2,
+                            dataset_scale=0.03, num_chunks=12, lockstep=False)
+
+    def _run(self):
+        setup = build_environment("fcc", self.SCALE)
+        trainer = DesignTrainer(setup.video, setup.train_traces,
+                                setup.test_traces,
+                                config=self.SCALE.evaluation_config(),
+                                qoe=setup.qoe)
+        return TestScoreProtocol(trainer).run(None, None)
+
+    def test_reference_engines_match_shipped_engines(self, monkeypatch):
+        with nn.default_dtype("float32"):
+            shipped, shipped_runs = self._run()
+
+        monkeypatch.setattr(ChunkLevelSimulator, "_download",
+                            ChunkLevelSimulator._download_segment_walk)
+        monkeypatch.setattr("repro.core.evaluation.evaluate_agent",
+                            functools.partial(evaluate_agent, batched=False))
+        monkeypatch.setattr(nn.Conv1D, "forward", _reference_conv1d_forward)
+        monkeypatch.setattr(nn.RMSProp, "step", _reference_rmsprop_step)
+        monkeypatch.setattr("repro.rl.agent.sample_action",
+                            _reference_sample_action)
+        previous = set_fast_inference(False)
+        try:
+            with nn.default_dtype("float64"):
+                reference, reference_runs = self._run()
+        finally:
+            set_fast_inference(previous)
+
+        assert np.isfinite(shipped)
+        assert abs(reference - shipped) <= 1e-9
+        assert [run.seed for run in reference_runs] == \
+            [run.seed for run in shipped_runs]
+        for ref_run, run in zip(reference_runs, shipped_runs):
+            assert run.checkpoint_scores
+            np.testing.assert_allclose(ref_run.checkpoint_scores,
+                                       run.checkpoint_scores, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(ref_run.reward_history,
+                                       run.reward_history, rtol=0, atol=1e-9)

@@ -240,15 +240,14 @@ class TestResultStore:
         assert len(result.runs[0].reward_history) == TINY.train_epochs + 3
 
     def test_engine_toggles_do_not_invalidate(self):
-        """lockstep/batched-eval are bit-identical engines, not key material."""
+        """Lockstep is a bit-identical engine, not key material."""
         from dataclasses import replace as dc_replace
         trainer = _trainer("fcc")
         base = context_fingerprint(trainer, "fcc")
         toggled = DesignTrainer(trainer.video, trainer.train_traces,
                                 trainer.test_traces,
                                 config=dc_replace(trainer.config,
-                                                  lockstep_training=False,
-                                                  batched_evaluation=False),
+                                                  lockstep_training=False),
                                 qoe=trainer.qoe)
         assert context_fingerprint(toggled, "fcc") == base
         # ...while a result-shaping field is key material.

@@ -24,6 +24,7 @@ import gc
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,45 @@ class TestDisabledPath:
                 pass
         delta = sys.getallocatedblocks() - before
         assert delta <= 2, f"disabled span path allocated {delta} blocks"
+
+    def test_disabled_overhead_of_a_protocol_run_is_below_two_percent(self):
+        """The price a real workload pays for its instrumentation when
+        telemetry is off: the events an instrumented §3.1 protocol run emits
+        times the measured per-call cost of the disabled span, as a share of
+        that run's wall time.  A projection rather than a wall-clock A/B: the
+        disabled path costs nanoseconds, so a direct A/B would drown in
+        scheduler noise."""
+        from repro.core.evaluation import TestScoreProtocol
+
+        assert not telemetry.enabled()
+        calls = 200_000
+        span = telemetry.span
+        start = time.perf_counter()
+        for _ in range(calls):
+            with span("bench.noop"):
+                pass
+        per_call = (time.perf_counter() - start) / calls
+
+        scale = ExperimentScale(train_epochs=8, checkpoint_interval=4,
+                                last_k_checkpoints=2, num_seeds=2,
+                                dataset_scale=0.03, num_chunks=12)
+        protocol = TestScoreProtocol(_trainer("fcc", scale), seeds=[0, 1],
+                                     environment="fcc",
+                                     scheduler=scale.scheduler())
+        sink = telemetry.Telemetry()
+        previous = telemetry.set_telemetry(sink)
+        try:
+            start = time.perf_counter()
+            protocol.run(None, None)
+            workload_s = time.perf_counter() - start
+        finally:
+            telemetry.set_telemetry(previous)
+
+        assert sink.events
+        projected = len(sink.events) * per_call / workload_s
+        assert projected <= 0.02, (
+            f"{len(sink.events)} events x {per_call * 1e9:.0f} ns over a "
+            f"{workload_s:.2f} s run: {projected:.2%} projected overhead")
 
     def test_enable_is_idempotent_and_disable_clears(self, tmp_path):
         first = telemetry.enable(str(tmp_path))
